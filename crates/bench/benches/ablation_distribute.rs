@@ -37,7 +37,7 @@ fn lower() -> LoweredPlan {
 
 fn opts(workers: usize) -> DistributeOptions {
     let exe = env!("CARGO_BIN_EXE_repro").to_string();
-    // `repro` defaults to the adaptive schedule; this harness uses
+    // `repro` defaults to the static schedule; this harness uses
     // `EngineOptions::default()` (declared), so pin the worker to match or
     // the handshake's signature check degrades every slot to in-process.
     let mut opts = DistributeOptions::new(

@@ -114,16 +114,17 @@
 //! engine — the ablation knob behind the `ablation_batch` benchmark.
 //! Survivors, emission order and pruning statistics are bit-identical either
 //! way; only the `lane_evals`/`lanes_masked`/`scalar_fallbacks`/`super_hits`
-//! telemetry drops to zero. Note that the adaptive schedule (this binary's
-//! default) never builds batch plans, so `--no-batch` only changes behaviour
-//! under `--schedule declared` or `--schedule static`.
+//! telemetry drops to zero. It applies under every schedule, the default
+//! included.
 //!
-//! The global `--schedule {declared,static,adaptive}` flag picks the
-//! constraint-schedule mode for the same subcommands (default: `adaptive`,
-//! the profile-guided mode behind the `ablation_schedule` benchmark). The
-//! chosen per-level check order is printed alongside the results; survivors
-//! and emission order are identical in every mode. Composes with
-//! `--no-intervals`.
+//! The global `--schedule {declared,static}` flag picks the
+//! constraint-schedule mode for the same subcommands (default: `static`, the
+//! cost-model order behind the `ablation_schedule` benchmark). The order is
+//! fixed before compilation, so both modes run the batched lane tier and
+//! fusion. `adaptive`, the removed online re-sorting mode, is still accepted
+//! and means `static`. The chosen per-level check order is printed alongside
+//! the results; survivors and emission order are identical in every mode.
+//! Composes with `--no-intervals`.
 //!
 //! The global `--engine {walker,compiled,native}` flag picks the evaluation
 //! tier for `sweep` (default: `compiled`). `native` lowers the plan to a
@@ -175,10 +176,10 @@ fn main() {
     args.retain(|a| a != "--no-congruence");
     let no_batch = args.iter().any(|a| a == "--no-batch");
     args.retain(|a| a != "--no-batch");
-    let mut schedule = ScheduleMode::Adaptive;
+    let mut schedule = ScheduleMode::Static;
     if let Some(i) = args.iter().position(|a| a == "--schedule") {
         let Some(value) = args.get(i + 1) else {
-            eprintln!("error: --schedule needs a value: declared, static or adaptive");
+            eprintln!("error: --schedule needs a value: declared or static");
             std::process::exit(2);
         };
         schedule = value.parse().unwrap_or_else(|e| {
@@ -292,19 +293,14 @@ fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Print the engine's per-level check order (and, for adaptive runs, the
-/// final order it converged to).
+/// Print the engine's per-level check order.
 fn print_schedule(tele: &ScheduleTelemetry) {
     if tele.groups.is_empty() {
         return;
     }
     println!("check schedule ({}):", tele.mode);
     for g in &tele.groups {
-        let mut line = format!("  level {}: {}", g.level, g.initial.join(" → "));
-        if g.final_order != g.initial {
-            line.push_str(&format!("   (final: {})", g.final_order.join(" → ")));
-        }
-        println!("{line}");
+        println!("  level {}: {}", g.level, g.order.join(" → "));
     }
 }
 
@@ -558,7 +554,7 @@ fn headline(dim: i64, engine: EngineOptions) {
             comp_out.blocks.subtree_skips, comp_out.blocks.points_skipped
         );
     }
-    print_schedule(&compiled.schedule_telemetry(comp_out.schedule.as_deref()));
+    print_schedule(&compiled.schedule_telemetry());
     println!("{:<26} {:>10} {:>10}", "backend", "seconds", "speedup");
     println!("{:<26} {:>10.3} {:>9.1}x", "walker (Python model)", t_walker, 1.0);
     println!("{:<26} {:>10.3} {:>9.1}x", "VM (Lua model)", t_vm, t_walker / t_vm);
@@ -951,14 +947,7 @@ fn worker_engine_flags(engine: EngineOptions) -> Vec<String> {
         flags.push("--no-batch".to_string());
     }
     flags.push("--schedule".to_string());
-    flags.push(
-        match engine.schedule {
-            ScheduleMode::Declared => "declared",
-            ScheduleMode::Static => "static",
-            ScheduleMode::Adaptive => "adaptive",
-        }
-        .to_string(),
-    );
+    flags.push(engine.schedule.as_str().to_string());
     flags
 }
 
@@ -1231,7 +1220,7 @@ fn funnel(dim: i64, engine: EngineOptions) {
             out.blocks.checks_elided
         );
     }
-    print_schedule(&compiled.schedule_telemetry(out.schedule.as_deref()));
+    print_schedule(&compiled.schedule_telemetry());
 }
 
 // ---------------------------------------------------------------------------

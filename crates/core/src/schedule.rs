@@ -32,8 +32,9 @@
 //!   so every consumer — interpreters, the threaded-code engine, and the
 //!   C/Rust source generators — inherits the schedule for free.
 //!
-//! The *online* half (epoch-based re-sorting by observed kill rate per op)
-//! lives in the engines; it starts from the static order produced here.
+//! The order is fixed here, before any engine compiles the plan: no engine
+//! reorders checks at run time, so lane plans and superinstruction fusion
+//! see the scheduled op stream unchanged.
 
 use std::cmp::Ordering;
 
@@ -51,19 +52,19 @@ pub enum ScheduleMode {
     /// Cost-model order: each reorder-safe group sorted by ascending
     /// expected-cost-to-kill at plan-lowering time ([`static_schedule`]).
     Static,
-    /// Static order as the starting point, then periodic re-sorting by the
-    /// kill rates actually observed while sweeping (worker-local, so results
-    /// stay deterministic at any thread count).
-    Adaptive,
 }
 
 impl ScheduleMode {
+    /// The former online re-sorting mode, now a spelling of
+    /// [`ScheduleMode::Static`]; kept for existing command lines and callers.
+    #[allow(non_upper_case_globals)]
+    pub const Adaptive: ScheduleMode = ScheduleMode::Static;
+
     /// Stable lower-case name (used by telemetry JSON and CLI flags).
     pub fn as_str(self) -> &'static str {
         match self {
             ScheduleMode::Declared => "declared",
             ScheduleMode::Static => "static",
-            ScheduleMode::Adaptive => "adaptive",
         }
     }
 }
@@ -80,10 +81,9 @@ impl std::str::FromStr for ScheduleMode {
     fn from_str(s: &str) -> Result<ScheduleMode, String> {
         match s {
             "declared" => Ok(ScheduleMode::Declared),
-            "static" => Ok(ScheduleMode::Static),
-            "adaptive" => Ok(ScheduleMode::Adaptive),
+            "static" | "adaptive" => Ok(ScheduleMode::Static),
             other => Err(format!(
-                "unknown schedule mode `{other}` (expected declared, static or adaptive)"
+                "unknown schedule mode `{other}` (expected declared or static)"
             )),
         }
     }
@@ -827,5 +827,15 @@ mod tests {
         let again = check_regions(&lp);
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].checks.len(), 2);
+    }
+
+    #[test]
+    fn mode_names_round_trip_and_adaptive_spells_static() {
+        for mode in [ScheduleMode::Declared, ScheduleMode::Static] {
+            assert_eq!(mode.as_str().parse::<ScheduleMode>(), Ok(mode));
+        }
+        assert_eq!("adaptive".parse::<ScheduleMode>(), Ok(ScheduleMode::Static));
+        assert_eq!(ScheduleMode::Adaptive, ScheduleMode::Static);
+        assert!("online".parse::<ScheduleMode>().is_err());
     }
 }

@@ -150,12 +150,14 @@ pub struct EngineOptions {
     /// (`ablation_intervals`); 1 guards every eligible loop.
     pub min_guard_fanout: u64,
     /// How to order the checks within each loop level (see
-    /// [`beast_core::schedule`]). `Declared` — the library default — runs
+    /// [`beast_core::schedule`]). The order is fixed on the lowered plan
+    /// before compilation, so every mode runs the batched lane tier and
+    /// superinstruction fusion. `Declared` — the library default — runs
     /// checks in plan order and reproduces the walker's per-constraint
-    /// statistics exactly. `Static`/`Adaptive` reorder reorder-safe groups,
-    /// which never changes survivors or emission order but does shift
-    /// *which* constraint gets credit for a kill, so `PruneStats` may
-    /// differ from declared-order runs (and, under `Adaptive`, between
+    /// statistics exactly. `Static` sorts reorder-safe groups by the cost
+    /// model, which never changes survivors or emission order but does
+    /// shift *which* constraint gets credit for a kill, so `PruneStats` may
+    /// differ from declared-order runs (they are still identical between
     /// serial and chunked runs of the same sweep).
     pub schedule: ScheduleMode,
     /// Track the congruence domain (`x ≡ r (mod m)`) alongside intervals in
@@ -182,13 +184,8 @@ pub struct EngineOptions {
     /// engine instruction-for-instruction — only useful for ablations and
     /// the `--no-batch` CLI flag. The tier disables itself at runtime for
     /// chunks with a fault injector attached (injected faults are keyed on
-    /// per-point visit ordinals) and under the adaptive schedule (group
-    /// dispatch rewrites the instruction stream mid-run).
+    /// per-point visit ordinals). Blocks are [`LANES`] values wide.
     pub batch: bool,
-    /// Lane-block width for the batch tier, clamped to `1..=64` (the
-    /// survivor-bitmask width). The default of 64 maximizes slab
-    /// utilization; smaller widths only matter for experiments.
-    pub lane_width: u32,
     /// Which evaluation tier executes the sweep. `Compiled` (the default)
     /// runs in process; `Native` dispatches chunks to a gcc-compiled worker
     /// binary with graceful fallback; `Walker` is serial-only. Results are
@@ -205,7 +202,6 @@ impl Default for EngineOptions {
             congruence: true,
             lint: LintGate::Warn,
             batch: true,
-            lane_width: 64,
             engine: EngineTier::Compiled,
         }
     }
@@ -253,13 +249,12 @@ impl EngineOptions {
     /// never alters sweep results.
     pub fn signature(&self) -> String {
         format!(
-            "iv{}cg{}g{}{:?}b{}w{}e{}",
+            "iv{}cg{}g{}{:?}b{}e{}",
             u8::from(self.intervals),
             u8::from(self.congruence),
             self.min_guard_fanout,
             self.schedule,
             u8::from(self.batch),
-            self.lane_width,
             self.engine.as_str()
         )
     }
@@ -304,29 +299,12 @@ enum Op {
     Check { constraint: u32, expr: Postfix, elide_bit: Option<u8>, on_reject: u32 },
     /// Evaluate an opaque constraint through the closure callback.
     CheckOpaque { constraint: u32, on_reject: u32 },
-    /// Adaptive-schedule check group: evaluate the members of
-    /// `agroups[group]` in the group's *current* per-run order — each
-    /// member preceded by the not-yet-run defines of its closure — jumping
-    /// to the shared reject target on the first rejection, and executing
-    /// the remaining defines before falling through when every member
-    /// passes (survivor points must carry all derived slots). Replaces the
-    /// first op of a reorder-safe region; the remaining region positions
-    /// keep their original (now unreachable) ops — the only jump into a
-    /// region targets its first position (`Enter + 1` when the region
-    /// opens the loop body), since reject targets are always a `Next`, an
-    /// `Enter + 1`, or `Halt`. Once a group's order freezes mid-run, the
-    /// whole span is patched back to straight-line `Define`/`Check` ops in
-    /// the learned order (see `patch_frozen`), so this dispatch only pays
-    /// for itself while the order is still being learned.
-    CheckGroup { group: u32 },
     /// Fused superinstruction for an adjacent `Define` + `Check` pair: one
     /// dispatch evaluates the define into its slot, then the constraint.
     /// Semantically identical to the two ops it replaces (same stats, same
     /// elision, same fault sites); `fuse_id` indexes the per-run
     /// [`LaneStats::super_hits`] counter. Never emitted inside batchable
-    /// innermost bodies (the batch tier's lane plans address unfused ops)
-    /// or under the adaptive schedule (group patching assumes the original
-    /// op spans).
+    /// innermost bodies (the batch tier's lane plans address unfused ops).
     FusedDefineCheck {
         /// Destination slot of the define half.
         slot: u32,
@@ -401,113 +379,8 @@ enum LaneCheck {
     Scalar(Postfix),
 }
 
-/// One member of an adaptive check group.
-#[derive(Debug, Clone)]
-struct AMember {
-    /// Constraint index (also the `PruneStats` row and elision-bit key).
-    constraint: u32,
-    /// Compiled predicate.
-    expr: Postfix,
-    /// Elision bit, as on [`Op::Check`].
-    elide_bit: Option<u8>,
-    /// Unit cost — postfix op count of the predicate plus its define
-    /// closure, the denominator for kill-rate-per-op.
-    cost: u32,
-    /// Ascending indices into [`AGroup::defines`]: the transitive closure
-    /// of region defines this predicate reads, executed on demand before
-    /// the predicate (ascending = dependency order).
-    deps: Vec<u16>,
-}
-
-/// One lazily-executed define of an adaptive check group's region.
-#[derive(Debug, Clone)]
-struct ADefine {
-    /// Destination slot.
-    slot: u32,
-    /// Compiled body (infallible over the subtree by region construction).
-    expr: Postfix,
-}
-
-/// A reorder-safe region (checks + interleaved defines) executed through
-/// [`Op::CheckGroup`].
-///
-/// All members share one loop scope, hence one reject target; members and
-/// defines are infallible, so evaluating units in any order — defines on
-/// demand, the rest before falling through — is semantics-preserving (AND
-/// over pure predicates; defines are pure functions of bound slots).
-/// Orders and counters live in per-run [`State`] — worker-local under the
-/// parallel driver — so adapting the order can never perturb survivors or
-/// emission order at any thread count.
-#[derive(Debug, Clone)]
-struct AGroup {
-    /// Members in static-schedule order (the initial per-run order).
-    members: Vec<AMember>,
-    /// The region's defines in dependency order, run at most once per
-    /// group execution (tracked in a bitmask, hence ≤ 64 per region).
-    defines: Vec<ADefine>,
-    /// Shared reject target (the enclosing loop's `Next`).
-    on_reject: u32,
-    /// Instruction index of the region's first op (the `CheckGroup`).
-    start: u32,
-    /// Instruction index just past the region (the all-pass successor).
-    end: u32,
-}
-
-/// Per-run mutable state of one adaptive group.
-#[derive(Debug, Clone)]
-struct GroupState {
-    /// Current evaluation order (member indices).
-    order: Vec<u16>,
-    /// Per-member evaluations this run.
-    evaluated: Vec<u64>,
-    /// Per-member rejections this run.
-    killed: Vec<u64>,
-    /// Group executions since the run started; every
-    /// [`ADAPT_EPOCH`]th execution re-sorts `order`.
-    ticks: u32,
-    /// Consecutive re-sorts that left `order` unchanged. At
-    /// [`ADAPT_FREEZE`] the group is converged: counter updates and
-    /// re-sorts stop, so the steady-state dispatch costs the same as the
-    /// plain per-check path (the counters are only read by `resort`).
-    stable: u8,
-}
-
-/// Group executions between adaptive re-sorts. Small enough to adapt within
-/// one scheduler chunk, large enough that sorting cost vanishes against the
-/// member evaluations it amortizes.
-const ADAPT_EPOCH: u32 = 256;
-
-/// Consecutive no-change re-sorts after which a group's order is frozen
-/// for the rest of the run (chunk-local, like all adaptive state).
-const ADAPT_FREEZE: u8 = 4;
-
-/// Re-sort a group's evaluation order by observed kill rate per unit cost,
-/// descending — the online analogue of the static expected-cost-to-kill
-/// ordering. Members never evaluated this run (everything ahead of them
-/// always killed first) sink to the back; ties keep static-schedule order.
-/// Tracks convergence: an unchanged order bumps [`GroupState::stable`],
-/// a changed one resets it.
-fn resort(g: &AGroup, gs: &mut GroupState) {
-    let mut order = std::mem::take(&mut gs.order);
-    let before = order.clone();
-    let score = |mi: u16| {
-        let mi = mi as usize;
-        if gs.evaluated[mi] == 0 {
-            return -1.0;
-        }
-        let kill_rate = gs.killed[mi] as f64 / gs.evaluated[mi] as f64;
-        kill_rate / g.members[mi].cost as f64
-    };
-    order.sort_by(|&a, &b| {
-        score(b).partial_cmp(&score(a)).unwrap().then_with(|| a.cmp(&b))
-    });
-    gs.stable = if order == before { gs.stable.saturating_add(1) } else { 0 };
-    gs.order = order;
-}
-
 /// A reorder-safe check group as reported in telemetry: its loop level and
-/// member constraints in scheduled order (tracked for every mode, not just
-/// adaptive, so reports can always show the per-level order).
+/// member constraints in scheduled order.
 #[derive(Debug, Clone)]
 struct SchedGroup {
     level: usize,
@@ -635,16 +508,14 @@ pub struct Compiled {
     /// Instruction index of the outermost `Enter` (None for loop-free
     /// programs, which cannot occur for valid spaces).
     first_enter: Option<usize>,
-    /// Per-loop batch plans (`None` for non-innermost loops, bodies with
-    /// opaque or grouped ops, or when the adaptive schedule owns the
-    /// instruction stream).
+    /// Per-loop batch plans (`None` for loops whose body or body prefix is
+    /// not batchable, e.g. because it holds opaque ops, or when `batch` is
+    /// off).
     plans: Vec<Option<BatchPlan>>,
     /// Number of fused superinstructions in `ops` (sizes the per-run
     /// [`LaneStats::super_hits`] table).
     n_fused: usize,
-    /// Adaptive check groups (empty unless `opts.schedule` is `Adaptive`).
-    agroups: Vec<AGroup>,
-    /// Reorder-safe groups in scheduled order, for telemetry (all modes).
+    /// Reorder-safe groups in scheduled order, for telemetry.
     sched_groups: Vec<SchedGroup>,
     point_names: Arc<[Arc<str>]>,
     /// Space-linter summary recorded at compile time (`None` when
@@ -663,9 +534,8 @@ impl Compiled {
     /// Build the flat program with explicit engine options.
     pub fn with_options(mut lp: LoweredPlan, opts: EngineOptions) -> Compiled {
         // Static constraint scheduling happens on the lowered plan itself,
-        // before ops and guards are built, so both see the scheduled order
-        // (adaptive mode starts from the static order).
-        if opts.schedule != ScheduleMode::Declared {
+        // before ops and guards are built, so both see the scheduled order.
+        if opts.schedule == ScheduleMode::Static {
             schedule::static_schedule(&mut lp);
         }
         // Pre-sweep lint gate: analyze the exact plan the engine will
@@ -679,12 +549,8 @@ impl Compiled {
         let mut open: Vec<(u32, usize)> = Vec::new();
         let mut pending_rejects: Vec<Vec<usize>> = vec![Vec::new()];
         let mut n_loops = 0u32;
-        // Step index → the instruction it emitted (every step emits exactly
-        // one op), for locating check-group runs after patching.
-        let mut step_ops: Vec<u32> = Vec::with_capacity(lp.steps.len());
 
         for step in &lp.steps {
-            step_ops.push(ops.len() as u32);
             match step {
                 LStep::Bind { slot, domain, iter, .. } => {
                     let d = match domain {
@@ -772,86 +638,32 @@ impl Compiled {
         }
         debug_assert!(pending_rejects.is_empty());
 
-        // Reorder-safe regions: recorded for telemetry in every mode; in
-        // adaptive mode each region is additionally rewired through a
-        // single `CheckGroup` dispatch so the member order can change
-        // per-run without touching the instruction stream.
-        let mut agroups: Vec<AGroup> = Vec::new();
-        let mut sched_groups: Vec<SchedGroup> = Vec::new();
-        for region in schedule::check_regions(&lp) {
-            let constraints: Vec<u32> = region
-                .checks
-                .iter()
-                .map(|&si| match &lp.steps[si] {
-                    LStep::Check { constraint, .. } => *constraint as u32,
-                    other => unreachable!("check group holds non-check step {other:?}"),
-                })
-                .collect();
-            sched_groups.push(SchedGroup {
+        // Reorder-safe regions, in scheduled order, for telemetry.
+        let sched_groups: Vec<SchedGroup> = schedule::check_regions(&lp)
+            .into_iter()
+            .map(|region| SchedGroup {
                 level: schedule::group_level(&lp, &region.checks),
-                constraints,
-            });
-            if opts.schedule != ScheduleMode::Adaptive {
-                continue;
-            }
-            let first_ip = step_ops[region.start] as usize;
-            let defines: Vec<ADefine> = region
-                .defines
-                .iter()
-                .map(|&si| {
-                    let Op::Define { slot, expr } = &ops[step_ops[si] as usize] else {
-                        unreachable!("region define lowered to a non-Define op");
-                    };
-                    ADefine { slot: *slot, expr: expr.clone() }
-                })
-                .collect();
-            let mut members = Vec::with_capacity(region.checks.len());
-            let mut reject = 0u32;
-            for (k, &si) in region.checks.iter().enumerate() {
-                let ip = step_ops[si] as usize;
-                debug_assert!(
-                    (first_ip..first_ip + (region.end - region.start)).contains(&ip),
-                    "region ops must be contiguous"
-                );
-                let Op::Check { constraint, expr, elide_bit, on_reject } = &ops[ip] else {
-                    unreachable!("check group step lowered to a non-Check op");
-                };
-                debug_assert!(k == 0 || reject == *on_reject, "members share one scope");
-                reject = *on_reject;
-                let deps: Vec<u16> = region.deps[k].iter().map(|&d| d as u16).collect();
-                let closure_cost: usize =
-                    deps.iter().map(|&d| defines[d as usize].expr.len()).sum();
-                members.push(AMember {
-                    constraint: *constraint,
-                    expr: expr.clone(),
-                    elide_bit: *elide_bit,
-                    cost: (expr.len() + closure_cost).max(1) as u32,
-                    deps,
-                });
-            }
-            let end = (first_ip + (region.end - region.start)) as u32;
-            ops[first_ip] = Op::CheckGroup { group: agroups.len() as u32 };
-            agroups.push(AGroup {
-                members,
-                defines,
-                on_reject: reject,
-                start: first_ip as u32,
-                end,
-            });
-        }
+                constraints: region
+                    .checks
+                    .iter()
+                    .map(|&si| match &lp.steps[si] {
+                        LStep::Check { constraint, .. } => *constraint as u32,
+                        other => unreachable!("check group holds non-check step {other:?}"),
+                    })
+                    .collect(),
+            })
+            .collect();
 
         // Batched lane tier + superinstruction fusion. Order matters: lane
         // plans are detected on the *unfused* stream (their steps mirror
         // plain Define/Check ops one-to-one), then the fusion pass skips
         // every batchable body, then the plans' instruction anchors are
         // remapped through the fusion's old→new index map. Both passes are
-        // skipped entirely under the adaptive schedule (`CheckGroup`
-        // dispatch and mid-run patching assume the original op spans) and
-        // with `batch` off, which therefore reproduces the pre-batching
-        // engine instruction-for-instruction.
+        // skipped with `batch` off, which therefore reproduces the
+        // pre-batching engine instruction-for-instruction.
         let mut plans: Vec<Option<BatchPlan>> = vec![None; n_loops as usize];
         let mut n_fused = 0usize;
-        if opts.batch && agroups.is_empty() {
+        if opts.batch {
             plans = build_batch_plans(&ops);
             if plans.len() < n_loops as usize {
                 plans.resize(n_loops as usize, None);
@@ -894,7 +706,6 @@ impl Compiled {
             first_enter,
             plans,
             n_fused,
-            agroups,
             sched_groups,
             point_names,
             lint,
@@ -941,9 +752,7 @@ impl Compiled {
         self.opts
     }
 
-    /// Fresh per-run interpreter state. Adaptive group orders start from
-    /// the static schedule on every run — chunk-local under the parallel
-    /// driver, which keeps results deterministic at any thread count.
+    /// Fresh per-run interpreter state.
     fn fresh_state<V: Visitor>(&self, visitor: V) -> State<V> {
         State {
             stats: PruneStats::new(self.lp.plan.space().constraints().len()),
@@ -960,39 +769,10 @@ impl Compiled {
             gstack: Vec::new(),
             gpstack: Vec::new(),
             elide: 0,
-            sched: self
-                .agroups
-                .iter()
-                .map(|g| GroupState {
-                    order: (0..g.members.len() as u16).collect(),
-                    evaluated: vec![0; g.members.len()],
-                    killed: vec![0; g.members.len()],
-                    ticks: 0,
-                    stable: 0,
-                })
-                .collect(),
             faults: Vec::new(),
             visit_ordinal: 0,
             poll: 0,
         }
-    }
-
-    /// The final adaptive group orders of a finished run, as constraint
-    /// indices (`None` unless running with an adaptive schedule).
-    fn final_orders<V>(&self, state: &State<V>) -> Option<Vec<Vec<u32>>> {
-        if self.opts.schedule != ScheduleMode::Adaptive {
-            return None;
-        }
-        Some(
-            state
-                .sched
-                .iter()
-                .zip(&self.agroups)
-                .map(|(gs, g)| {
-                    gs.order.iter().map(|&k| g.members[k as usize].constraint).collect()
-                })
-                .collect(),
-        )
     }
 
     /// Run the full sweep.
@@ -1001,12 +781,10 @@ impl Compiled {
         let mut slots = vec![0i64; self.lp.n_slots as usize];
         let mut state = self.fresh_state(visitor);
         self.exec(0, usize::MAX, None, &mut slots, &mut state, &ChunkCtx::plain())?;
-        let schedule = self.final_orders(&state);
         Ok(SweepOutcome {
             stats: state.stats,
             blocks: state.blocks,
             lanes: state.lanes,
-            schedule,
             visitor: state.visitor,
         })
     }
@@ -1047,7 +825,6 @@ impl Compiled {
                     stats: state.stats,
                     blocks: state.blocks,
                     lanes: state.lanes,
-                    schedule: None,
                     visitor: state.visitor,
                 },
                 faults: Vec::new(),
@@ -1061,20 +838,17 @@ impl Compiled {
                     stats: state.stats,
                     blocks: state.blocks,
                     lanes: state.lanes,
-                    schedule: None,
                     visitor: state.visitor,
                 },
                 faults: Vec::new(),
             });
         }
         self.exec(first_enter, usize::MAX, Some(outer_values), &mut slots, &mut state, ctx)?;
-        let schedule = self.final_orders(&state);
         Ok(ChunkRun {
             outcome: SweepOutcome {
                 stats: state.stats,
                 blocks: state.blocks,
                 lanes: state.lanes,
-                schedule,
                 visitor: state.visitor,
             },
             faults: state.faults,
@@ -1154,9 +928,6 @@ impl Compiled {
                         return Ok(false);
                     }
                 }
-                Op::CheckGroup { .. } => {
-                    unreachable!("check groups require an enclosing loop")
-                }
                 Op::FusedDefineCheck { .. } => {
                     unreachable!("fusion never touches the preamble")
                 }
@@ -1169,27 +940,19 @@ impl Compiled {
     /// The constraint schedule this backend runs, for
     /// [`SweepReport`](crate::telemetry::SweepReport)s:
     /// mode, per-constraint ranks in the flattened (scheduled) check order,
-    /// and per-group initial/final member orders. `final_orders` — the
-    /// [`SweepOutcome::schedule`] of a finished adaptive run — substitutes
-    /// the observed final orders; without it (or for declared/static modes)
-    /// the final order equals the initial one.
-    pub fn schedule_telemetry(
-        &self,
-        final_orders: Option<&[Vec<u32>]>,
-    ) -> ScheduleTelemetry {
+    /// and per-group member orders.
+    pub fn schedule_telemetry(&self) -> ScheduleTelemetry {
         let constraints = self.lp.plan.space().constraints();
-        let name = |c: &u32| constraints[*c as usize].name.to_string();
         let groups = self
             .sched_groups
             .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                let initial: Vec<String> = g.constraints.iter().map(name).collect();
-                let final_order = final_orders
-                    .and_then(|f| f.get(i))
-                    .map(|o| o.iter().map(name).collect())
-                    .unwrap_or_else(|| initial.clone());
-                GroupSchedule { level: g.level, initial, final_order }
+            .map(|g| GroupSchedule {
+                level: g.level,
+                order: g
+                    .constraints
+                    .iter()
+                    .map(|&c| constraints[c as usize].name.to_string())
+                    .collect(),
             })
             .collect();
         ScheduleTelemetry {
@@ -1322,13 +1085,6 @@ impl Compiled {
         frames: &mut [Frame],
     ) -> Result<(), EvalError> {
         let poll_cancel = ctx.cancel.is_some_and(|p| p.armed());
-        // Adaptive runs execute a run-local copy of the instruction stream:
-        // when a group's order freezes, its learned order is patched back
-        // into this copy as straight-line `Define`/`Check` ops, removing
-        // the `CheckGroup` dispatch from the steady state. Other modes run
-        // the shared ops directly.
-        let mut owned_ops: Option<Vec<Op>> =
-            (!self.agroups.is_empty()).then(|| self.ops.clone());
         let mut ip = start_ip;
         // Evaluate a fallible expression; on error, hand the fault to
         // `fault_recover`, which either yields a recovery ip (SkipPoint:
@@ -1363,11 +1119,7 @@ impl Compiled {
             if ip == end_ip {
                 return Ok(());
             }
-            let ops: &[Op] = owned_ops.as_deref().unwrap_or(&self.ops);
-            // Group index to patch after the match releases its borrow of
-            // the op array (set only when a group just froze).
-            let mut freeze: Option<usize> = None;
-            match &ops[ip] {
+            match &self.ops[ip] {
                 Op::Enter { loop_id, slot, domain, next } => {
                     let l = *loop_id as usize;
                     let exit = *next as usize + 1;
@@ -1501,11 +1253,9 @@ impl Compiled {
                     // Batched lane tier: consume the whole loop in lane
                     // blocks — innermost plans emit survivors directly,
                     // filter plans descend per surviving lane. Disabled per
-                    // chunk when a fault injector
-                    // is attached (injected faults are keyed on per-point
-                    // visit ordinals, which blocks don't advance one by one)
-                    // and under the adaptive schedule (plans are never built
-                    // there; `owned_ops` may diverge from `self.ops`).
+                    // chunk when a fault injector is attached (injected
+                    // faults are keyed on per-point visit ordinals, which
+                    // blocks don't advance one by one).
                     if self.opts.batch
                         && ctx.injector.is_none()
                         && len >= MIN_BATCH_LEN
@@ -1628,79 +1378,6 @@ impl Compiled {
                     state.stats.record(*constraint as usize, rejected);
                     ip = if rejected { *on_reject as usize } else { ip + 1 };
                 }
-                Op::CheckGroup { group } => {
-                    let gi = *group as usize;
-                    let g = &self.agroups[gi];
-                    let gs = &mut state.sched[gi];
-                    let mut rejected = false;
-                    // Region defines already executed this point (lazily,
-                    // on first demand by a member's closure).
-                    let mut done = 0u64;
-                    for k in 0..gs.order.len() {
-                        let mi = gs.order[k] as usize;
-                        let m = &g.members[mi];
-                        if let Some(bit) = m.elide_bit {
-                            if state.elide & (1u64 << bit) != 0 {
-                                // As on Op::Check: count the pass the
-                                // per-point engine would have recorded.
-                                // Elided members don't feed the adaptive
-                                // counters — no expression actually ran.
-                                state.stats.record(m.constraint as usize, false);
-                                state.blocks.checks_elided += 1;
-                                continue;
-                            }
-                        }
-                        for &d in &m.deps {
-                            if done & (1u64 << d) == 0 {
-                                done |= 1u64 << d;
-                                let def = &g.defines[d as usize];
-                                slots[def.slot as usize] = try_eval!(
-                                    'interp,
-                                    Site::Slot(def.slot),
-                                    def.expr.eval(slots, &mut state.stack)
-                                );
-                            }
-                        }
-                        let r = try_eval!(
-                            'interp,
-                            Site::Constraint(m.constraint),
-                            m.expr.eval(slots, &mut state.stack)
-                        ) != 0;
-                        state.stats.record(m.constraint as usize, r);
-                        if gs.stable < ADAPT_FREEZE {
-                            gs.evaluated[mi] += 1;
-                            gs.killed[mi] += r as u64;
-                        }
-                        if r {
-                            rejected = true;
-                            break;
-                        }
-                    }
-                    if !rejected {
-                        // Every member passed: run the defines no closure
-                        // demanded, so the surviving point (and everything
-                        // below this level) sees all derived slots.
-                        for (d, def) in g.defines.iter().enumerate() {
-                            if done & (1u64 << d) == 0 {
-                                slots[def.slot as usize] = try_eval!(
-                                    'interp,
-                                    Site::Slot(def.slot),
-                                    def.expr.eval(slots, &mut state.stack)
-                                );
-                            }
-                        }
-                    }
-                    if gs.stable < ADAPT_FREEZE {
-                        gs.ticks = gs.ticks.wrapping_add(1);
-                        if gs.ticks.is_multiple_of(ADAPT_EPOCH) {
-                            resort(g, gs);
-                            if gs.stable >= ADAPT_FREEZE {
-                                freeze = Some(gi);
-                            }
-                        }
-                    }
-                    ip = if rejected { g.on_reject as usize } else { g.end as usize };
-                }
                 Op::Visit => {
                     if let Some(inj) = ctx.injector {
                         let ord = state.visit_ordinal;
@@ -1724,18 +1401,11 @@ impl Compiled {
                 }
                 Op::Halt => return Ok(()),
             }
-            if let Some(gi) = freeze {
-                self.patch_frozen(
-                    owned_ops.as_mut().expect("check groups imply owned ops"),
-                    gi,
-                    &state.sched[gi].order,
-                );
-            }
         }
     }
 
     /// Execute one batchable loop entirely through the lane tier: realize
-    /// the domain into blocks of up to `lane_width` values, run every
+    /// the domain into blocks of up to [`LANES`] values, run every
     /// slab-translatable program once per block, evaluate the rest per
     /// lane, then emit in lane order so the result is bit-identical to the
     /// scalar interpreter. Innermost plans visit survivors in place; filter
@@ -1768,7 +1438,6 @@ impl Compiled {
         ctx: &ChunkCtx<'_>,
         poll_cancel: bool,
     ) -> Result<(), EvalError> {
-        let width = self.opts.lane_width.clamp(1, LANES as u32) as usize;
         let mut scr = state.lscratch.pop().unwrap_or_default();
         // Filter plans re-enter the interpreter once per surviving lane;
         // checking out one frame array for the whole loop keeps that
@@ -1795,7 +1464,7 @@ impl Compiled {
                 scr.lrows[0][0] = v;
                 n = 1;
             }
-            while n < width {
+            while n < LANES {
                 advances += 1;
                 match advance_frame(f) {
                     Some(v) => {
@@ -1821,8 +1490,8 @@ impl Compiled {
             if n == 0 {
                 break;
             }
-            if n < width {
-                state.lanes.lanes_masked += (width - n) as u64;
+            if n < LANES {
+                state.lanes.lanes_masked += (LANES - n) as u64;
             }
             let tail: u64 = if n == 64 { !0 } else { (1u64 << n) - 1 };
 
@@ -2179,50 +1848,6 @@ impl Compiled {
         Ok(())
     }
 
-    /// Patch a frozen group's learned order back into the run-local
-    /// instruction stream: the region's op span is rewritten as
-    /// straight-line `Define`/`Check` ops in unit-linearized frozen order
-    /// — each member preceded by its not-yet-emitted define closure, the
-    /// remaining defines last — and the `CheckGroup` dispatch disappears,
-    /// so the steady state costs exactly what a statically scheduled plan
-    /// costs. The patched sequence evaluates the same expressions and
-    /// records the same `PruneStats` on every path as group execution; the
-    /// only divergence is that an elided member's closure defines now run
-    /// unconditionally, which is unobservable (they are infallible, and
-    /// every define runs before the span is left on the all-pass path
-    /// either way).
-    fn patch_frozen(&self, ops: &mut [Op], gi: usize, order: &[u16]) {
-        let g = &self.agroups[gi];
-        let span = g.start as usize..g.end as usize;
-        let mut seq: Vec<Op> = Vec::with_capacity(span.len());
-        let mut emitted = 0u64;
-        for &mi in order {
-            let m = &g.members[mi as usize];
-            for &d in &m.deps {
-                if emitted & (1u64 << d) == 0 {
-                    emitted |= 1u64 << d;
-                    let def = &g.defines[d as usize];
-                    seq.push(Op::Define { slot: def.slot, expr: def.expr.clone() });
-                }
-            }
-            seq.push(Op::Check {
-                constraint: m.constraint,
-                expr: m.expr.clone(),
-                elide_bit: m.elide_bit,
-                on_reject: g.on_reject,
-            });
-        }
-        for (d, def) in g.defines.iter().enumerate() {
-            if emitted & (1u64 << d) == 0 {
-                seq.push(Op::Define { slot: def.slot, expr: def.expr.clone() });
-            }
-        }
-        debug_assert_eq!(seq.len(), span.len(), "patched region must fill its span");
-        for (dst, op) in ops[span].iter_mut().zip(seq) {
-            *dst = op;
-        }
-    }
-
     /// Run one loop's guard program against the current outer slot values
     /// and the just-realized domain interval and congruence.
     ///
@@ -2435,9 +2060,7 @@ impl Compiled {
     /// The `Next` ip of the innermost loop whose body contains `ip`, or
     /// `None` when `ip` is outside every loop. A loop with `Enter` at `e`
     /// and `Next` at `n` is *open* at `ip` iff `e < ip <= n`; closed loops
-    /// entirely before `ip` are skipped over wholesale. Scans the shared op
-    /// array — adaptive patching never rewrites `Enter`/`Next`, so the loop
-    /// structure is identical in the run-local copy.
+    /// entirely before `ip` are skipped over wholesale.
     fn innermost_open_next(&self, ip: usize) -> Option<usize> {
         let mut best = None;
         let mut i = 0;
@@ -2699,8 +2322,8 @@ fn build_guards(
 /// loop (no inner `Enter`) is batchable when its whole body lowers to
 /// expression defines, expression checks rejecting to the loop's own
 /// `Next`, and visits — no opaque callbacks (their closure re-entry is
-/// priced per point and can observe slot state lane-by-lane) and no
-/// adaptive group dispatch. A non-innermost loop gets a *filter* plan when
+/// priced per point and can observe slot state lane-by-lane). A
+/// non-innermost loop gets a *filter* plan when
 /// its body prefix (everything before the first inner `Enter`) meets the
 /// same bar and at least one prefix check is slab-translatable — without a
 /// slab check every lane would still pay a scalar evaluation and the
@@ -2946,8 +2569,6 @@ struct State<V> {
     gpstack: Vec<Product>,
     /// Bitmask of currently elided checks (bit = constraint index).
     elide: u64,
-    /// Per-group adaptive schedule state (empty unless adaptive).
-    sched: Vec<GroupState>,
     /// Faults recovered from during this run (only under
     /// [`FaultPolicy::SkipPoint`]); drained by the supervisor.
     faults: Vec<FaultRecord>,
@@ -3346,7 +2967,7 @@ mod tests {
     fn schedule_modes_agree_on_survivors_and_order() {
         let space = sched_space();
         let mut baseline: Option<Vec<Vec<i64>>> = None;
-        for mode in [ScheduleMode::Declared, ScheduleMode::Static, ScheduleMode::Adaptive] {
+        for mode in [ScheduleMode::Declared, ScheduleMode::Static] {
             let c = scheduled(&space, mode);
             let out = c
                 .run(CollectVisitor::new(c.point_names().clone(), usize::MAX))
@@ -3367,41 +2988,24 @@ mod tests {
     #[test]
     fn static_schedule_reorders_checks_by_expected_cost_to_kill() {
         let space = sched_space();
-        let tele = scheduled(&space, ScheduleMode::Static).schedule_telemetry(None);
+        let tele = scheduled(&space, ScheduleMode::Static).schedule_telemetry();
         assert_eq!(tele.mode, "static");
         assert_eq!(tele.groups.len(), 1);
         // The deadliest check moves to the front of its group.
-        assert_eq!(tele.groups[0].initial[0], "deadly");
-        assert_eq!(tele.groups[0].initial.len(), 3);
+        assert_eq!(tele.groups[0].order[0], "deadly");
+        assert_eq!(tele.groups[0].order.len(), 3);
         // Declared mode reports the declared order untouched.
-        let declared = scheduled(&space, ScheduleMode::Declared).schedule_telemetry(None);
-        assert_eq!(declared.groups[0].initial, vec!["rare", "mid", "deadly"]);
+        let declared = scheduled(&space, ScheduleMode::Declared).schedule_telemetry();
+        assert_eq!(declared.groups[0].order, vec!["rare", "mid", "deadly"]);
     }
 
     #[test]
-    fn adaptive_run_reports_final_orders() {
-        let space = sched_space();
-        let c = scheduled(&space, ScheduleMode::Adaptive);
-        let out = c.run(CountVisitor::default()).unwrap();
-        let finals = out.schedule.as_ref().expect("adaptive runs report a schedule");
-        assert_eq!(finals.len(), 1);
-        // 9^3 = 729 group executions > ADAPT_EPOCH, so at least one re-sort
-        // ran; "deadly" (constraint 2) has by far the best kill rate per op
-        // and must end up first.
-        let tele = c.schedule_telemetry(Some(finals));
-        assert_eq!(tele.groups[0].final_order[0], "deadly");
-        // Declared-mode runs don't carry a schedule.
-        let d = scheduled(&space, ScheduleMode::Declared);
-        assert!(d.run(CountVisitor::default()).unwrap().schedule.is_none());
-    }
-
-    #[test]
-    fn adaptive_stats_still_count_every_tuple_once() {
+    fn static_stats_still_count_every_tuple_once() {
         // Reordering shifts which constraint gets the kill credit, but the
         // totals must still account for every tuple: survivors + pruned
         // equals the full cross product at the innermost level.
         let space = sched_space();
-        let out = scheduled(&space, ScheduleMode::Adaptive)
+        let out = scheduled(&space, ScheduleMode::Static)
             .run(CountVisitor::default())
             .unwrap();
         let declared = scheduled(&space, ScheduleMode::Declared)
@@ -3410,6 +3014,10 @@ mod tests {
         assert_eq!(out.stats.survivors, declared.stats.survivors);
         assert_eq!(out.stats.total_pruned(), declared.stats.total_pruned());
         assert_eq!(out.visitor.count, declared.visitor.count);
+        // "deadly" (constraint 2) runs first under the static order, so it
+        // is credited with every kill that "rare" and "mid" took before.
+        assert!(out.stats.pruned[2] > declared.stats.pruned[2]);
+        assert_eq!(out.stats.pruned[0] + out.stats.pruned[1], 0);
     }
 
     /// The options signature keys the sub-sweep cache and the checkpoint
@@ -3421,18 +3029,17 @@ mod tests {
     #[test]
     fn engine_options_signature_is_pinned_and_injective_per_field() {
         let d = EngineOptions::default();
-        assert_eq!(d.signature(), "iv1cg1g4Declaredb1w64ecompiled");
+        assert_eq!(d.signature(), "iv1cg1g4Declaredb1ecompiled");
         assert_eq!(
             EngineOptions::native().signature(),
-            "iv1cg1g4Declaredb1w64enative"
+            "iv1cg1g4Declaredb1enative"
         );
         let variants = [
             EngineOptions { intervals: false, ..d },
             EngineOptions { congruence: false, ..d },
             EngineOptions { min_guard_fanout: 2, ..d },
-            EngineOptions { schedule: ScheduleMode::Adaptive, ..d },
+            EngineOptions { schedule: ScheduleMode::Static, ..d },
             EngineOptions { batch: false, ..d },
-            EngineOptions { lane_width: 7, ..d },
             EngineOptions { engine: EngineTier::Native, ..d },
             EngineOptions { engine: EngineTier::Walker, ..d },
         ];
@@ -3445,7 +3052,7 @@ mod tests {
         // If this assertion fires you added a field to `EngineOptions`:
         // fold it into `signature()` (unless, like `lint`, it provably
         // cannot change sweep results) and update both pins here.
-        assert_eq!(std::mem::size_of::<EngineOptions>(), 24);
+        assert_eq!(std::mem::size_of::<EngineOptions>(), 16);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! folding **in chunk order** through the same collector the thread pool
 //! uses.
 //!
-//! # Wire protocol v1
+//! # Wire protocol v2
 //!
 //! Every frame is a 4-byte big-endian length followed by that many bytes of
 //! UTF-8 JSON (max 64 MiB). Supervisor → worker: `hello` (space name,
@@ -77,7 +77,8 @@ use crate::visit::Visitor;
 use crate::walker::SweepOutcome;
 
 /// Wire protocol version spoken by [`serve_worker`] and the supervisor.
-pub const PROTOCOL_VERSION: u64 = 1;
+/// Version 2 dropped `outcome.schedule` from `done` frames.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Upper bound on a single frame payload (64 MiB). A length prefix beyond
 /// this is treated as a protocol violation, not an allocation request.
@@ -93,7 +94,7 @@ pub struct DistributeOptions {
     /// Worker *processes* to spawn (values below 1 are treated as 1).
     pub workers: usize,
     /// Command line for one worker: program plus arguments. The worker must
-    /// speak protocol v1 on stdin/stdout — normally this is
+    /// speak protocol v2 on stdin/stdout — normally this is
     /// `[repro, "worker", <dim>, ...]` built by the CLI. An empty command
     /// skips spawning entirely and evaluates every shard in-process.
     pub worker_cmd: Vec<String>,
@@ -290,30 +291,6 @@ fn eval_chunk_local<V: Visitor>(
 // Frame (de)serialization
 // ---------------------------------------------------------------------------
 
-fn schedule_json(out: &mut String, schedule: Option<&[Vec<u32>]>) {
-    use std::fmt::Write as _;
-    match schedule {
-        None => out.push_str("null"),
-        Some(groups) => {
-            out.push('[');
-            for (i, group) in groups.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                for (j, c) in group.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{c}");
-                }
-                out.push(']');
-            }
-            out.push(']');
-        }
-    }
-}
-
 /// Serialize a finished chunk into a `done` frame payload.
 fn done_frame<V: Visitor + SaveState>(chunk: usize, done: &ChunkDone<V>) -> String {
     use std::fmt::Write as _;
@@ -333,9 +310,7 @@ fn done_frame<V: Visitor + SaveState>(chunk: usize, done: &ChunkDone<V>) -> Stri
                 o.lanes.lane_evals, o.lanes.lanes_masked, o.lanes.scalar_fallbacks
             );
             u64_array(&mut out, &o.lanes.super_hits);
-            out.push_str("},\"schedule\":");
-            schedule_json(&mut out, o.schedule.as_deref());
-            out.push_str(",\"visitor\":");
+            out.push_str("},\"visitor\":");
             out.push_str(&o.visitor.save_state());
             out.push('}');
         }
@@ -349,6 +324,18 @@ fn done_frame<V: Visitor + SaveState>(chunk: usize, done: &ChunkDone<V>) -> Stri
     }
     out.push_str("]}}");
     out
+}
+
+/// Refuse a frame whose `v` is not [`PROTOCOL_VERSION`]: a peer built from
+/// another version must fail the handshake, not be misread field by field.
+fn check_version(doc: &JsonValue, frame: &str) -> Result<(), String> {
+    match doc.get("v").and_then(JsonValue::as_u64) {
+        Some(PROTOCOL_VERSION) => Ok(()),
+        Some(v) => Err(format!(
+            "{frame}: protocol version mismatch (peer speaks v{v}, this side v{PROTOCOL_VERSION})"
+        )),
+        None => Err(format!("{frame}: missing protocol version")),
+    }
 }
 
 /// Parse a `lanes` object written by [`done_frame`].
@@ -376,7 +363,7 @@ fn parse_lanes(doc: &JsonValue) -> Result<LaneStats, String> {
 /// Fully validate a worker's `done` frame against what the supervisor
 /// dispatched before anything is folded: the chunk index must match, counter
 /// arrays must cover exactly the plan's constraints, and every nested block
-/// (blocks, lanes, schedule, visitor state, fault records) must parse. Any
+/// (blocks, lanes, visitor state, fault records) must parse. Any
 /// violation is a [`FaultKind::ProtocolError`] — the shard is re-dealt and
 /// nothing from the lying worker reaches the merge.
 fn parse_done<V: Visitor + SaveState>(
@@ -385,6 +372,7 @@ fn parse_done<V: Visitor + SaveState>(
     n_constraints: usize,
     make_visitor: &dyn Fn() -> V,
 ) -> Result<ChunkDone<V>, String> {
+    check_version(doc, "done")?;
     let done = doc.get("done").ok_or_else(|| "worker: missing done body".to_string())?;
     let chunk = done
         .get("chunk")
@@ -422,33 +410,11 @@ fn parse_done<V: Visitor + SaveState>(
             let lanes = parse_lanes(
                 o.get("lanes").ok_or_else(|| "worker: outcome.lanes missing".to_string())?,
             )?;
-            let schedule = match o.get("schedule") {
-                None => return Err("worker: outcome.schedule missing".to_string()),
-                Some(JsonValue::Null) => None,
-                Some(s) => Some(
-                    s.items()
-                        .ok_or_else(|| "worker: schedule is not an array".to_string())?
-                        .iter()
-                        .map(|group| {
-                            group
-                                .items()
-                                .ok_or_else(|| "worker: schedule group is not an array".to_string())?
-                                .iter()
-                                .map(|c| {
-                                    c.as_u64()
-                                        .and_then(|c| u32::try_from(c).ok())
-                                        .ok_or_else(|| "worker: schedule entry not a u32".to_string())
-                                })
-                                .collect::<Result<Vec<u32>, _>>()
-                        })
-                        .collect::<Result<Vec<Vec<u32>>, _>>()?,
-                ),
-            };
             let mut visitor = make_visitor();
             visitor
                 .load_state(o.get("visitor").ok_or_else(|| "worker: outcome.visitor missing".to_string())?)
                 .map_err(|e| format!("worker: {e}"))?;
-            Some(SweepOutcome { stats, blocks, lanes, schedule, visitor })
+            Some(SweepOutcome { stats, blocks, lanes, visitor })
         }
     };
     Ok(ChunkDone { outcome, faults })
@@ -492,6 +458,7 @@ where
     // ready reply carries this worker's identity for the supervisor to check.
     let hello = read_frame(&mut input)?.ok_or_else(|| "eof before hello".to_string())?;
     let doc = JsonValue::parse(&hello).map_err(|e| format!("hello: {e}"))?;
+    check_version(&doc, "hello")?;
     let hello = doc.get("hello").ok_or_else(|| "first frame is not hello".to_string())?;
     let policy = hello
         .get("policy")
@@ -676,6 +643,7 @@ impl Link {
             Err(_) => return Err("no ready frame before the deadline".to_string()),
         };
         let doc = JsonValue::parse(&frame).map_err(|e| format!("ready: {e}"))?;
+        check_version(&doc, "ready")?;
         let ready = doc.get("ready").ok_or_else(|| "first frame is not ready".to_string())?;
         if ready.get("structural").and_then(JsonValue::as_str) != Some(structural) {
             return Err("worker evaluates a different plan (structural fingerprint mismatch)"
@@ -858,7 +826,7 @@ where
             0,
             t_start.elapsed(),
             vec![],
-            compiled.schedule_telemetry(None),
+            compiled.schedule_telemetry(),
             compiled.lint_summary(),
         );
         report.resumed_at = resumed_at;
@@ -876,7 +844,6 @@ where
                 stats,
                 blocks: seed_blocks,
                 lanes: LaneStats::default(),
-                schedule: None,
                 visitor: seed_visitor.unwrap_or_else(&make_visitor),
             },
             report,
@@ -919,7 +886,6 @@ where
         lanes: LaneStats::default(),
         faults: seed_faults,
         visitor: seed_visitor,
-        schedule: None,
         outer_len: outer.len(),
         chunk_len,
         chunks: chunks.len(),
@@ -1221,7 +1187,7 @@ where
     if let Some(sink) = sink {
         collector.save(sink).map_err(SweepError::Checkpoint)?;
     }
-    let Collector { stats, blocks, lanes, faults, visitor, schedule, .. } = collector;
+    let Collector { stats, blocks, lanes, faults, visitor, .. } = collector;
 
     let mut report = SweepReport::new(
         space,
@@ -1233,7 +1199,7 @@ where
         chunks.len(),
         t_start.elapsed(),
         workers,
-        compiled.schedule_telemetry(schedule.as_deref()),
+        compiled.schedule_telemetry(),
         compiled.lint_summary(),
     );
     report.partial = partial;
@@ -1245,7 +1211,7 @@ where
     report.faults = faults;
     report.lanes = lanes.clone();
     Ok((
-        SweepOutcome { stats, blocks, lanes, schedule, visitor: visitor.unwrap_or_else(make_visitor) },
+        SweepOutcome { stats, blocks, lanes, visitor: visitor.unwrap_or_else(make_visitor) },
         report,
     ))
 }
@@ -1393,11 +1359,12 @@ mod tests {
 
         let mut script = Vec::new();
         let hello = format!(
-            "{{\"v\":1,\"hello\":{{\"space\":\"dist\",\"structural\":\"{structural}\",\
-             \"engine\":\"{sig}\",\"policy\":\"abort\",\"hb_ms\":10000}}}}"
+            "{{\"v\":{PROTOCOL_VERSION},\"hello\":{{\"space\":\"dist\",\
+             \"structural\":\"{structural}\",\"engine\":\"{sig}\",\"policy\":\"abort\",\
+             \"hb_ms\":10000}}}}"
         );
         write_frame(&mut script, &hello).unwrap();
-        let mut shard = "{\"v\":1,\"shard\":{\"chunk\":0,\"values\":[".to_string();
+        let mut shard = format!("{{\"v\":{PROTOCOL_VERSION},\"shard\":{{\"chunk\":0,\"values\":[");
         for (i, v) in outer.iter().enumerate() {
             if i > 0 {
                 shard.push(',');
@@ -1406,7 +1373,7 @@ mod tests {
         }
         shard.push_str("]}}");
         write_frame(&mut script, &shard).unwrap();
-        write_frame(&mut script, "{\"v\":1,\"bye\":{}}").unwrap();
+        write_frame(&mut script, &format!("{{\"v\":{PROTOCOL_VERSION},\"bye\":{{}}}}")).unwrap();
 
         let mut replies: Vec<u8> = Vec::new();
         serve_worker(
@@ -1448,6 +1415,23 @@ mod tests {
         .unwrap();
         assert_eq!(from_worker.visitor, direct.visitor);
         assert_eq!(from_worker.stats, direct.stats);
+
+        // A v1 supervisor's hello is refused before the worker replies.
+        let mut v1 = Vec::new();
+        write_frame(&mut v1, &hello.replacen(&format!("\"v\":{PROTOCOL_VERSION}"), "\"v\":1", 1))
+            .unwrap();
+        let mut replies: Vec<u8> = Vec::new();
+        let err = serve_worker(
+            &lp,
+            EngineOptions::default(),
+            FingerprintVisitor::new,
+            &WorkerChaos::default(),
+            &v1[..],
+            &mut replies,
+        )
+        .unwrap_err();
+        assert!(err.contains("protocol version mismatch (peer speaks v1"), "{err}");
+        assert!(replies.is_empty(), "no ready frame for a mismatched peer");
     }
 
     /// A worker command that cannot spawn degrades every slot to in-process
@@ -1504,11 +1488,11 @@ mod tests {
     #[test]
     fn done_validation_rejects_lies() {
         let mk = FingerprintVisitor::new;
-        let good = "{\"v\":1,\"done\":{\"chunk\":3,\"outcome\":{\"stats\":{\"evaluated\":[1,2],\
+        let good = "{\"v\":2,\"done\":{\"chunk\":3,\"outcome\":{\"stats\":{\"evaluated\":[1,2],\
                     \"pruned\":[0,1],\"survivors\":1},\"blocks\":{\"subtree_skips\":0,\
                     \"congruence_skips\":0,\"points_skipped\":0,\"checks_elided\":0},\
                     \"lanes\":{\"lane_evals\":0,\"lanes_masked\":0,\"scalar_fallbacks\":0,\
-                    \"super_hits\":[]},\"schedule\":null,\"visitor\":{\"hash\":1,\"pow\":2,\
+                    \"super_hits\":[]},\"visitor\":{\"hash\":1,\"pow\":2,\
                     \"count\":1}},\"faults\":[]}}";
         let doc = JsonValue::parse(good).unwrap();
         assert!(parse_done::<FingerprintVisitor>(&doc, 3, 2, &mk).is_ok());
@@ -1520,5 +1504,11 @@ mod tests {
         let broken = good.replace(",\"visitor\":{\"hash\":1,\"pow\":2,\"count\":1}", "");
         let doc = JsonValue::parse(&broken).unwrap();
         assert!(parse_done::<FingerprintVisitor>(&doc, 3, 2, &mk).is_err());
+        // A v1 frame, which still carried `outcome.schedule`, is refused on
+        // its version before any field is read.
+        let v1 = good.replacen("\"v\":2", "\"v\":1", 1).replace(",\"visitor\"", ",\"schedule\":null,\"visitor\"");
+        let doc = JsonValue::parse(&v1).unwrap();
+        let err = parse_done::<FingerprintVisitor>(&doc, 3, 2, &mk).err().unwrap();
+        assert!(err.contains("protocol version mismatch (peer speaks v1"), "{err}");
     }
 }

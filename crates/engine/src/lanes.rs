@@ -42,9 +42,8 @@ use beast_core::ir::IntBinOp;
 
 use crate::postfix::{PfOp, Postfix};
 
-/// Lane width of the slab evaluator. Fixed at the survivor-bitmask width;
-/// [`EngineOptions::lane_width`](crate::compiled::EngineOptions::lane_width)
-/// may select a smaller effective block size, never a larger one.
+/// Lane width of the slab evaluator and the batch tier's block size, fixed
+/// at the survivor-bitmask width.
 pub const LANES: usize = 64;
 
 /// One slab of lane values.

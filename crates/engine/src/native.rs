@@ -255,7 +255,6 @@ impl NativeContext {
         Ok(SweepOutcome {
             stats,
             blocks: Default::default(),
-            schedule: None,
             lanes: Default::default(),
             visitor,
         })

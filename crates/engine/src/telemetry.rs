@@ -93,7 +93,7 @@ pub struct ConstraintTelemetry {
     pub level: usize,
     /// Position of this constraint's check in the engine's flattened check
     /// order — the *scheduled* order, which differs from plan order under
-    /// static/adaptive constraint scheduling.
+    /// static constraint scheduling.
     pub schedule_rank: usize,
     /// Times evaluated.
     pub evaluated: u64,
@@ -141,19 +141,16 @@ impl LevelTelemetry {
 pub struct GroupSchedule {
     /// Loop level of the group (0 = directly under the outermost loop).
     pub level: usize,
-    /// Constraint names in the order checks *started* executing (declared
-    /// order, or the cost-model order under static/adaptive scheduling).
-    pub initial: Vec<String>,
-    /// Constraint names in the order in effect when the sweep finished
-    /// (differs from `initial` only when adaptive re-sorting fired; under
-    /// the parallel driver this is chunk 0's final order).
-    pub final_order: Vec<String>,
+    /// Constraint names in execution order (declared order, or the
+    /// cost-model order under static scheduling). The order is fixed before
+    /// compilation, so it holds for the whole sweep.
+    pub order: Vec<String>,
 }
 
 /// The constraint schedule a sweep ran with.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ScheduleTelemetry {
-    /// Schedule mode name: `declared`, `static` or `adaptive`.
+    /// Schedule mode name: `declared` or `static`.
     pub mode: String,
     /// Constraint index → rank in the engine's flattened check order
     /// (surfaced per constraint as `schedule_rank`).
@@ -516,10 +513,8 @@ impl SweepReport {
             }
             out.push('{');
             json_num(&mut out, "level", g.level as f64);
-            out.push_str(",\"initial\":");
-            json_str_array(&mut out, &g.initial);
-            out.push_str(",\"final\":");
-            json_str_array(&mut out, &g.final_order);
+            out.push_str(",\"order\":");
+            json_str_array(&mut out, &g.order);
             out.push('}');
         }
         out.push_str("]},\"workers\":[");
@@ -674,16 +669,7 @@ impl SweepReport {
         if !self.schedule.groups.is_empty() {
             let _ = writeln!(out, "\ncheck schedule ({}):", self.schedule.mode);
             for g in &self.schedule.groups {
-                let _ =
-                    writeln!(out, "  level {}: {}", g.level, g.initial.join(" → "));
-                if g.final_order != g.initial {
-                    let _ = writeln!(
-                        out,
-                        "  level {} (final): {}",
-                        g.level,
-                        g.final_order.join(" → ")
-                    );
-                }
+                let _ = writeln!(out, "  level {}: {}", g.level, g.order.join(" → "));
             }
         }
         let _ = writeln!(
@@ -840,12 +826,11 @@ mod tests {
             checks_elided: 5,
         };
         let schedule = ScheduleTelemetry {
-            mode: "adaptive".to_string(),
+            mode: "static".to_string(),
             ranks: vec![0, 1],
             groups: vec![GroupSchedule {
                 level: 1,
-                initial: vec!["a_odd".to_string(), "over".to_string()],
-                final_order: vec!["over".to_string(), "a_odd".to_string()],
+                order: vec!["a_odd".to_string(), "over".to_string()],
             }],
         };
         SweepReport::new(
@@ -913,7 +898,7 @@ mod tests {
             "\"checks_elided\":5",
             "\"lint\":{\"errors\":0,\"warnings\":2,\"infos\":5}",
             "\"schedule_rank\":",
-            "\"schedule\":{\"mode\":\"adaptive\"",
+            "\"schedule\":{\"mode\":\"static\"",
             "\"partial\":false",
             "\"resumed_at\":null",
             "\"fault_policy\":\"abort\"",
@@ -1017,15 +1002,15 @@ mod tests {
 
     /// Pin the serialized shape of the scheduling fields: per-constraint
     /// `schedule_rank`, per-level `kill_rate`, and the `schedule` section
-    /// with per-group initial/final orders.
+    /// with per-group orders.
     #[test]
     fn schedule_fields_have_pinned_json_shape() {
         let r = sample_report();
         let json = r.to_json();
         assert!(
             json.contains(
-                "\"schedule\":{\"mode\":\"adaptive\",\"levels\":[{\"level\":1,\
-                 \"initial\":[\"a_odd\",\"over\"],\"final\":[\"over\",\"a_odd\"]}]}"
+                "\"schedule\":{\"mode\":\"static\",\"levels\":[{\"level\":1,\
+                 \"order\":[\"a_odd\",\"over\"]}]}"
             ),
             "schedule section shape changed: {json}"
         );

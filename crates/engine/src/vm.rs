@@ -199,7 +199,6 @@ impl Vm {
             stats,
             blocks: BlockStats::default(),
             lanes: LaneStats::default(),
-            schedule: None,
             visitor,
         })
     }

@@ -49,15 +49,10 @@ pub struct SweepOutcome<V> {
     /// block pruning (walker, VM) and for the compiled engine with
     /// intervals disabled.
     pub blocks: BlockStats,
-    /// Final per-group check order observed by an adaptive-schedule run
-    /// (constraint indices, one inner `Vec` per reorder-safe check group).
-    /// `None` for backends and modes without online scheduling (walker, VM,
-    /// and the compiled engine under declared/static schedules).
-    pub schedule: Option<Vec<Vec<u32>>>,
     /// Batched-lane-tier and superinstruction telemetry. All-zero for
     /// backends without the tier (walker, VM) and for the compiled engine
     /// with batching off; replayed cached chunks also report the default
-    /// (telemetry-only, like `schedule`).
+    /// (the counters are telemetry only).
     pub lanes: crate::stats::LaneStats,
     /// The visitor, holding whatever it accumulated.
     pub visitor: V,
@@ -101,7 +96,6 @@ impl<'p> Walker<'p> {
         Ok(SweepOutcome {
             stats: state.stats,
             blocks: BlockStats::default(),
-            schedule: None,
             lanes: crate::stats::LaneStats::default(),
             visitor: state.visitor,
         })

@@ -8,9 +8,8 @@
 //! [`apply_order`] — the same mechanism [`static_schedule`] uses — so this
 //! exercises exactly the transformation the static scheduler is allowed to
 //! make, plus arbitrarily bad orders the cost model would never pick. The
-//! static and adaptive engine modes are then checked against the same
-//! baseline: whatever order they chose, results must be bit-for-bit the
-//! declared ones.
+//! static engine mode is then checked against the same baseline: whatever
+//! order it chose, results must be bit-for-bit the declared ones.
 
 use std::sync::Arc;
 
@@ -119,15 +118,14 @@ fn random_check_permutations_preserve_survivors_and_order() {
     }
 }
 
-/// The engine's own scheduling modes (static reorder at compile time,
-/// adaptive re-sorting at run time) stay on the declared baseline too, with
-/// intervals on and off.
+/// The engine's static schedule (a reorder at compile time) stays on the
+/// declared baseline too, with intervals on and off.
 #[test]
 fn engine_schedule_modes_match_declared_baseline() {
     for (name, space) in all_spaces() {
         let lp = lower(&space);
         let baseline = collect(&lp);
-        for mode in [ScheduleMode::Static, ScheduleMode::Adaptive] {
+        for mode in [ScheduleMode::Static] {
             for intervals in [true, false] {
                 let mut engine = if intervals {
                     EngineOptions::default()
