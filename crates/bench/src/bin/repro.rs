@@ -35,7 +35,11 @@
 //!                                    tuples, survival rate, per-level
 //!                                    feasible-domain sizes and cache
 //!                                    stats, cross-checked against a full
-//!                                    engine sweep (exit 6 on mismatch)
+//!                                    engine sweep (exit 6 on mismatch, 1
+//!                                    when a counter or the sweep fails);
+//!                                    the tuple count runs on a second
+//!                                    thread; --json adds per-phase
+//!                                    seconds and memo bytes
 //! repro sweep [DIM] [--threads N] [--chunks M] [--policy P] [--seed S]
 //!             [--inject-errors R] [--inject-panics R] [--transient]
 //!             [--checkpoint PATH] [--resume] [--every N]
@@ -635,32 +639,58 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
     let plan = Plan::new(&space, PlanOptions::default()).unwrap();
     let lp = LoweredPlan::new(&plan).unwrap();
 
-    let t0 = Instant::now();
-    let mut counter = Counter::new(&lp);
-    let survivors = counter.total().unwrap();
-    let t_surv = t0.elapsed();
-    let stats = counter.stats().clone();
+    // The tuple count runs on a second thread while this one counts the
+    // survivors and runs the cross-check sweep; the lines below print in
+    // the same order once both are done.
+    let (survivor_run, sweep_run, tuple_run) = std::thread::scope(|scope| {
+        let tuple_job = scope.spawn(|| {
+            timed(|| {
+                let mut counter = Counter::tuples(&lp);
+                counter.total().map(|n| (n, counter.memo_bytes()))
+            })
+        });
+        let survivor_run = timed(|| {
+            let mut counter = Counter::new(&lp);
+            counter.total().map(|n| (n, counter.stats().clone(), counter.memo_bytes()))
+        });
+        // Cross-check the analysis against ground truth: a full sweep of
+        // the compiled engine must find exactly as many survivors.
+        let sweep_run = matches!(survivor_run.0, Ok((Some(_), ..))).then(|| {
+            timed(|| {
+                Compiled::new(lp.clone())
+                    .run(CountVisitor::default())
+                    .map(|out| out.visitor.count as u128)
+            })
+        });
+        let tuple_run = tuple_job.join().unwrap_or_else(|panic| {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            fail_count("tuple count panicked", msg)
+        });
+        (survivor_run, sweep_run, tuple_run)
+    });
 
-    let t0 = Instant::now();
-    let mut tuple_counter = Counter::tuples(&lp);
-    let tuples = tuple_counter.total().unwrap();
-    let t_tuples = t0.elapsed();
-
+    let ((survivors, stats, survivor_memo), t_surv) = match survivor_run {
+        (Ok(run), t) => (run, t),
+        (Err(e), _) => fail_count("survivor count", e),
+    };
     match survivors {
-        Some(n) => println!("survivors {n}  ({:.3}s)", t_surv.as_secs_f64()),
+        Some(n) => println!("survivors {n}  ({t_surv:.3}s)"),
         None => println!(
-            "survivors: counting budget exhausted after {:.3}s (enumerated {}, memo entries {})",
-            t_surv.as_secs_f64(),
-            stats.enumerated,
-            stats.cache_misses
+            "survivors: counting budget exhausted after {t_surv:.3}s (enumerated {}, memo entries {})",
+            stats.enumerated, stats.cache_misses
         ),
     }
+    let ((tuples, tuple_memo), t_tuples) = match tuple_run {
+        (Ok(run), t) => (run, t),
+        (Err(e), _) => fail_count("tuple count", e),
+    };
     match tuples {
-        Some(n) => println!("tuples    {n}  ({:.3}s)", t_tuples.as_secs_f64()),
-        None => println!(
-            "tuples:    counting budget exhausted after {:.3}s",
-            t_tuples.as_secs_f64()
-        ),
+        Some(n) => println!("tuples    {n}  ({t_tuples:.3}s)"),
+        None => println!("tuples:    counting budget exhausted after {t_tuples:.3}s"),
     }
     if let (Some(s), Some(t)) = (survivors, tuples) {
         if t > 0 {
@@ -689,24 +719,22 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
         }
     }
 
-    // Cross-check the analysis against ground truth: a full sweep of the
-    // compiled engine must find exactly as many survivors.
-    if let Some(s) = survivors {
-        let t0 = Instant::now();
-        let swept = Compiled::new(lp.clone())
-            .run(CountVisitor::default())
-            .unwrap()
-            .visitor
-            .count as u128;
-        println!("sweep cross-check: {swept} survivors ({:.3}s)", t0.elapsed().as_secs_f64());
-        if swept != s {
-            eprintln!("error: exact count {s} disagrees with engine sweep {swept}");
-            std::process::exit(6);
+    let t_sweep = match (survivors, sweep_run) {
+        (Some(s), Some((swept, t))) => {
+            let swept = swept.unwrap_or_else(|e| fail_count("sweep cross-check", e));
+            println!("sweep cross-check: {swept} survivors ({t:.3}s)");
+            if swept != s {
+                eprintln!("error: exact count {s} disagrees with engine sweep {swept}");
+                std::process::exit(6);
+            }
+            println!("count matches the engine sweep");
+            Some(t)
         }
-        println!("count matches the engine sweep");
-    } else {
-        println!("sweep cross-check skipped (no exact count to compare)");
-    }
+        _ => {
+            println!("sweep cross-check skipped (no exact count to compare)");
+            None
+        }
+    };
 
     if let Some(path) = json_path {
         let opt = |v: Option<u128>| v.map_or("null".to_string(), |n| n.to_string());
@@ -725,7 +753,7 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
             _ => "null".to_string(),
         };
         let json = format!(
-            "{{\"space\":\"{label}\",\"survivors\":{},\"tuples\":{},\"survival_rate\":{rate},\"cache_hits\":{},\"cache_misses\":{},\"enumerated\":{},\"domains_rejected\":{},\"residue_classes_pruned\":{},\"levels\":[{}]}}\n",
+            "{{\"space\":\"{label}\",\"survivors\":{},\"tuples\":{},\"survival_rate\":{rate},\"cache_hits\":{},\"cache_misses\":{},\"enumerated\":{},\"domains_rejected\":{},\"residue_classes_pruned\":{},\"levels\":[{}],\"survivors_s\":{t_surv},\"tuples_s\":{t_tuples},\"cross_check_s\":{},\"survivors_memo_bytes\":{survivor_memo},\"tuples_memo_bytes\":{tuple_memo}}}\n",
             opt(survivors),
             opt(tuples),
             stats.cache_hits,
@@ -733,7 +761,8 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
             stats.enumerated,
             stats.domains_rejected,
             stats.residue_classes_pruned,
-            levels.join(",")
+            levels.join(","),
+            t_sweep.map_or("null".to_string(), |t| t.to_string()),
         );
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("error: cannot write count JSON to {path}: {e}");
@@ -741,6 +770,19 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
         }
         println!("wrote count JSON to {path}");
     }
+}
+
+/// Run `f`, returning its result and the seconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
+}
+
+/// Report a failed `repro count` phase and exit 1.
+fn fail_count(phase: &str, e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {phase}: {e}");
+    std::process::exit(1);
 }
 
 // ---------------------------------------------------------------------------

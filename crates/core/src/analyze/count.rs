@@ -102,41 +102,81 @@ pub struct CountStats {
 /// count up to and including that value. The last cumulative value is the
 /// level's total; per-value counts are adjacent differences. Cumulative
 /// form makes a count-weighted draw a binary search.
-#[derive(Debug, Clone, Default)]
-pub struct LevelEntry {
-    values: Vec<(i64, u128)>,
+///
+/// An entry is a borrowed view into the counter's memo, in one of two
+/// layouts that answer every query identically.
+#[derive(Debug, Clone, Copy)]
+pub struct LevelEntry<'m>(Layout<'m>);
+
+#[derive(Debug, Clone, Copy)]
+enum Layout<'m> {
+    /// Materialized: the feasible values in loop order and, in parallel
+    /// (same length), their cumulative counts.
+    Table { values: &'m [i64], cums: &'m [u128] },
+    /// A uniform range level: the `len` values `start + k·step` all have
+    /// the same nonzero subtree count `each`, so the table is implicit and
+    /// the `k`-th cumulative count is `(k + 1)·each`, saturating. `step` is
+    /// nonzero: a range with a zero step is empty and never uniform.
+    Uniform { start: i64, step: i64, len: usize, each: u128 },
 }
 
-impl LevelEntry {
+impl LevelEntry<'_> {
     /// Total survivor count below this level.
     pub fn total(&self) -> u128 {
-        self.values.last().map(|&(_, c)| c).unwrap_or(0)
+        match self.0 {
+            Layout::Table { cums, .. } => cums.last().copied().unwrap_or(0),
+            Layout::Uniform { len, each, .. } => each.saturating_mul(len as u128),
+        }
     }
 
     /// Number of feasible values.
     pub fn len(&self) -> usize {
-        self.values.len()
+        match self.0 {
+            Layout::Table { values, .. } => values.len(),
+            Layout::Uniform { len, .. } => len,
+        }
     }
 
     /// True when no value survives.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
     /// The `i`-th feasible value.
     pub fn value_at(&self, i: usize) -> i64 {
-        self.values[i].0
+        match self.0 {
+            Layout::Table { values, .. } => values[i],
+            Layout::Uniform { start, step, len, .. } => {
+                assert!(i < len, "index {i} out of range for a level of {len} values");
+                start.wrapping_add((i as i64).wrapping_mul(step))
+            }
+        }
+    }
+
+    /// Cumulative count up to and including the `i`-th value.
+    fn cum_at(&self, i: usize) -> u128 {
+        match self.0 {
+            Layout::Table { cums, .. } => cums[i],
+            Layout::Uniform { each, .. } => each.saturating_mul(i as u128 + 1),
+        }
     }
 
     /// Subtree count of the `i`-th feasible value.
     pub fn count_at(&self, i: usize) -> u128 {
-        let prev = if i == 0 { 0 } else { self.values[i - 1].1 };
-        self.values[i].1 - prev
+        let prev = if i == 0 { 0 } else { self.cum_at(i - 1) };
+        self.cum_at(i) - prev
     }
 
     /// Position of a feasible value.
     pub fn position_of(&self, v: i64) -> Option<usize> {
-        self.values.iter().position(|&(x, _)| x == v)
+        match self.0 {
+            Layout::Table { values, .. } => values.iter().position(|&x| x == v),
+            Layout::Uniform { start, step, len, .. } => {
+                let (d, step) = (i128::from(v) - i128::from(start), i128::from(step));
+                (d % step == 0 && (0..len as i128).contains(&(d / step)))
+                    .then(|| (d / step) as usize)
+            }
+        }
     }
 
     /// Count-weighted selection: map a survivor index `idx` in
@@ -145,14 +185,19 @@ impl LevelEntry {
     /// single uniform index over the whole subtree decomposes level by
     /// level into a unique survivor.
     pub fn pick(&self, idx: u128) -> (i64, u128) {
-        let p = self.values.partition_point(|&(_, cum)| cum <= idx);
-        let prev = if p == 0 { 0 } else { self.values[p - 1].1 };
-        (self.values[p].0, idx - prev)
+        let p = match self.0 {
+            Layout::Table { cums, .. } => cums.partition_point(|&cum| cum <= idx),
+            // Below `total` no cumulative count has saturated yet, so the
+            // bracket of `idx` is plain division.
+            Layout::Uniform { each, .. } => (idx / each).min(usize::MAX as u128) as usize,
+        };
+        let prev = if p == 0 { 0 } else { self.cum_at(p - 1) };
+        (self.value_at(p), idx - prev)
     }
 }
 
 /// One step of a count-weighted descent (see [`Counter::descend`]).
-pub enum DescentStep {
+pub enum DescentStep<'m> {
     /// The walk reached a loop level: pick a feasible value from `entry`,
     /// write it to `slot`, and continue from `step + 1`.
     Level {
@@ -161,7 +206,7 @@ pub enum DescentStep {
         /// Slot the level binds.
         slot: u32,
         /// Feasible values with cumulative subtree counts.
-        entry: Arc<LevelEntry>,
+        entry: LevelEntry<'m>,
     },
     /// A survivor was reached; the slot array holds its values.
     Done,
@@ -194,6 +239,107 @@ const MAX_RESIDUE_CLASSES: u64 = 64;
 /// Maximum modulus considered for residue-class filtering.
 const MAX_MODULUS: i64 = 1 << 20;
 
+/// Empty slot of a [`LevelMemo`] index.
+const EMPTY: u32 = u32::MAX;
+
+/// How one memoized entry is stored (see [`LevelEntry`]).
+#[derive(Clone, Copy)]
+enum Stored {
+    /// `len` values at `off` in the counter's shared table slabs.
+    Table { off: usize, len: usize },
+    /// A uniform range level, kept as its four parameters.
+    Uniform { start: i64, step: i64, len: usize, each: u128 },
+}
+
+/// The memo of one `Bind` step. Entry `k`'s key (the footprint values) is
+/// `keys[k·width..(k + 1)·width]`; `index` is an open-addressing table of
+/// entry ids over those keys, with linear probing and a power-of-two size
+/// kept at most half full.
+#[derive(Default)]
+struct LevelMemo {
+    width: usize,
+    keys: Vec<i64>,
+    index: Vec<u32>,
+    entries: Vec<Stored>,
+}
+
+impl LevelMemo {
+    /// Home slot of `key` in the index (multiplicative hash, top bits).
+    fn home(&self, key: &[i64]) -> usize {
+        let mut h = 0u64;
+        for &v in key {
+            h = (h.rotate_left(5) ^ v as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        (h >> (64 - self.index.len().trailing_zeros())) as usize
+    }
+
+    /// The entry whose key equals the probe key at `keys[at..]`, the tail
+    /// of the slab.
+    fn find(&self, at: usize) -> Option<u32> {
+        if self.index.is_empty() {
+            return None;
+        }
+        let key = &self.keys[at..];
+        let mask = self.index.len() - 1;
+        let mut pos = self.home(key);
+        loop {
+            let id = self.index[pos];
+            if id == EMPTY {
+                return None;
+            }
+            let k = id as usize * self.width;
+            if &self.keys[k..k + self.width] == key {
+                return Some(id);
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// Store `stored` under the probe key left at the tail of the slab.
+    fn insert(&mut self, stored: Stored) -> u32 {
+        let id = self.entries.len() as u32;
+        self.entries.push(stored);
+        if self.entries.len() * 2 > self.index.len() {
+            self.index = vec![EMPTY; (self.index.len() * 2).max(16)];
+            for id in 0..self.entries.len() as u32 {
+                self.place(id);
+            }
+        } else {
+            self.place(id);
+        }
+        id
+    }
+
+    /// Put entry `id` in the first free slot of its probe sequence.
+    fn place(&mut self, id: u32) {
+        let k = id as usize * self.width;
+        let mask = self.index.len() - 1;
+        let mut pos = self.home(&self.keys[k..k + self.width]);
+        while self.index[pos] != EMPTY {
+            pos = (pos + 1) & mask;
+        }
+        self.index[pos] = id;
+    }
+
+    /// Bytes held by the slab, index and entry records.
+    fn bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<i64>()
+            + self.index.capacity() * std::mem::size_of::<u32>()
+            + self.entries.capacity() * std::mem::size_of::<Stored>()
+    }
+}
+
+/// A level entry just computed, before it is stored. A table entry's
+/// values sit in the level's scratch buffer.
+struct Fresh {
+    /// Realized domain length.
+    domain_len: usize,
+    /// Values skipped by residue-class filtering.
+    residue_skipped: u64,
+    /// `(start, step, each)` of a uniform range level.
+    uniform: Option<(i64, i64, u128)>,
+}
+
 /// Memoized exact survivor counter over a lowered plan.
 pub struct Counter<'a> {
     lp: &'a LoweredPlan,
@@ -204,15 +350,26 @@ pub struct Counter<'a> {
     aborted: bool,
     /// Per step: sorted slots the suffix starting at this step reads from
     /// outside (the dependency footprint).
-    footprints: Vec<Arc<[u32]>>,
+    footprints: Vec<Box<[u32]>>,
+    /// Per step: a define whose value nothing observable reads (tuple mode
+    /// only, see [`Counter::build`]); counting skips its evaluation.
+    dead: Vec<bool>,
     /// Per step: compiled interval program for expression bodies.
     progs: Vec<Option<IvProg>>,
     /// Per `Bind` step: `%`-divisor expressions inside the level's run whose
     /// reads are all bound before the level — residue-filter candidates.
     rem_divisors: Vec<Vec<&'a IntExpr>>,
-    /// Per `Bind` step: level ordinal (outermost first).
-    level_of: HashMap<usize, usize>,
-    memo: HashMap<(usize, Box<[i64]>), Arc<LevelEntry>>,
+    /// Per step: level ordinal (outermost first) of a `Bind`.
+    level_of: Vec<usize>,
+    /// Per level: the memo of its `Bind` step.
+    memos: Vec<LevelMemo>,
+    /// Entries stored across all levels.
+    memo_entries: usize,
+    /// Shared slabs of every table entry: values and cumulative counts.
+    table_values: Vec<i64>,
+    table_cums: Vec<u128>,
+    /// Per level: reused buffer a table entry is built in.
+    scratch: Vec<Vec<(i64, u128)>>,
     stats: CountStats,
 }
 
@@ -263,7 +420,7 @@ impl<'a> Counter<'a> {
         // Suffix footprints: fp[i] = reads(step i) ∪ (fp[i+1] \ writes(step i)).
         // A step's own reads happen before its write, so they are added
         // after the write's removal.
-        let mut footprints: Vec<Arc<[u32]>> = vec![Arc::from(&[] as &[u32]); n_steps];
+        let mut footprints: Vec<Box<[u32]>> = vec![Box::default(); n_steps];
         let mut fp: BTreeSet<u32> = BTreeSet::new();
         let mut deps = BTreeSet::new();
         for i in (0..n_steps).rev() {
@@ -315,7 +472,38 @@ impl<'a> Counter<'a> {
                 },
                 LStep::Visit => {}
             }
-            footprints[i] = fp.iter().copied().collect::<Vec<u32>>().into();
+            footprints[i] = fp.iter().copied().collect();
+        }
+
+        // Dead defines (tuple mode): a define is dead when no later bind
+        // domain, memo-key footprint or live define reads its slot (checks
+        // never run here) and its expression cannot fail. Skipping it
+        // leaves every key, count and error unchanged: the footprints above
+        // still include its reads, and it could not have raised an error.
+        let mut dead = vec![false; n_steps];
+        if ignore_checks {
+            let mut read_later: BTreeSet<u32> = BTreeSet::new();
+            for i in (0..n_steps).rev() {
+                match &lp.steps[i] {
+                    LStep::Bind { .. } => read_later.extend(footprints[i].iter().copied()),
+                    LStep::Define { slot, body: LBody::Expr(e), .. }
+                        if !read_later.contains(slot) && e.infallible() =>
+                    {
+                        dead[i] = true
+                    }
+                    LStep::Define { body: LBody::Expr(e), .. } => {
+                        super::for_each_slot(e, &mut |s| {
+                            read_later.insert(s);
+                        })
+                    }
+                    LStep::Define { body: LBody::Opaque, derived, .. } => {
+                        deps.clear();
+                        space.deriveds()[*derived].kind.collect_deps(&mut deps);
+                        deps_to_slots(&deps, &mut read_later);
+                    }
+                    LStep::Check { .. } | LStep::Visit => {}
+                }
+            }
         }
 
         // Compiled abstract programs for every expression body.
@@ -347,11 +535,13 @@ impl<'a> Counter<'a> {
         // the level's run of checks, with every slot of `d` bound before
         // the level opens.
         let mut rem_divisors: Vec<Vec<&'a IntExpr>> = vec![Vec::new(); n_steps];
-        let mut level_of = HashMap::new();
+        let mut level_of = vec![usize::MAX; n_steps];
+        let mut memos = Vec::new();
         let mut levels = Vec::new();
         for (i, s) in lp.steps.iter().enumerate() {
             let LStep::Bind { slot: _, depth, iter, .. } = s else { continue };
-            level_of.insert(i, levels.len());
+            level_of[i] = levels.len();
+            memos.push(LevelMemo { width: footprints[i].len(), ..LevelMemo::default() });
             levels.push(LevelStats {
                 name: space.iters()[*iter].name.clone(),
                 depth: *depth,
@@ -387,10 +577,15 @@ impl<'a> Counter<'a> {
             ignore_checks,
             aborted: false,
             footprints,
+            dead,
             progs,
             rem_divisors,
             level_of,
-            memo: HashMap::new(),
+            scratch: vec![Vec::new(); memos.len()],
+            memos,
+            memo_entries: 0,
+            table_values: Vec::new(),
+            table_cums: Vec::new(),
             stats: CountStats { levels, ..CountStats::default() },
         }
     }
@@ -413,6 +608,14 @@ impl<'a> Counter<'a> {
         self.aborted
     }
 
+    /// Bytes the memo holds: key slabs, indexes, entry records and the
+    /// shared value/count tables.
+    pub fn memo_bytes(&self) -> usize {
+        self.memos.iter().map(LevelMemo::bytes).sum::<usize>()
+            + self.table_values.capacity() * std::mem::size_of::<i64>()
+            + self.table_cums.capacity() * std::mem::size_of::<u128>()
+    }
+
     /// Walk the straight-line steps from `from`, evaluating defines and
     /// checks concretely against `slots`, until a loop level, a survivor or
     /// a rejection is reached. Returns `None` when the work budget aborts
@@ -421,8 +624,8 @@ impl<'a> Counter<'a> {
     pub fn descend(
         &mut self,
         from: usize,
-        slots: &mut Vec<i64>,
-    ) -> Result<Option<DescentStep>, EvalError> {
+        slots: &mut [i64],
+    ) -> Result<Option<DescentStep<'_>>, EvalError> {
         let lp = self.lp;
         let space = lp.plan.space();
         let mut i = from;
@@ -441,11 +644,15 @@ impl<'a> Counter<'a> {
                 }
                 LStep::Bind { slot, .. } => {
                     let slot = *slot;
-                    let entry = self.entry_at(i, slots)?;
-                    if self.aborted {
-                        return Ok(None);
-                    }
-                    return Ok(Some(DescentStep::Level { step: i, slot, entry }));
+                    let (_, id) = self.entry_at(i, slots)?;
+                    return Ok(match id {
+                        Some(id) if !self.aborted => Some(DescentStep::Level {
+                            step: i,
+                            slot,
+                            entry: self.entry(self.level_of[i], id),
+                        }),
+                        _ => None,
+                    });
                 }
             }
         }
@@ -453,7 +660,7 @@ impl<'a> Counter<'a> {
 
     /// Count survivors of the subtree rooted at step `from` under the bound
     /// prefix in `slots`.
-    fn count_from(&mut self, from: usize, slots: &mut Vec<i64>) -> Result<u128, EvalError> {
+    fn count_from(&mut self, from: usize, slots: &mut [i64]) -> Result<u128, EvalError> {
         let lp = self.lp;
         let space = lp.plan.space();
         let mut i = from;
@@ -463,6 +670,7 @@ impl<'a> Counter<'a> {
             }
             match &lp.steps[i] {
                 LStep::Visit => return Ok(1),
+                LStep::Define { .. } if self.dead[i] => i += 1,
                 LStep::Define { slot, body, derived } => {
                     slots[*slot as usize] = eval_define(lp, space, *derived, body, slots)?;
                     i += 1;
@@ -473,31 +681,100 @@ impl<'a> Counter<'a> {
                     }
                     i += 1;
                 }
-                LStep::Bind { .. } => {
-                    return Ok(self.entry_at(i, slots)?.total());
-                }
+                LStep::Bind { .. } => return Ok(self.entry_at(i, slots)?.0),
+            }
+        }
+    }
+
+    /// View of stored entry `id` of `level`.
+    fn entry(&self, level: usize, id: u32) -> LevelEntry<'_> {
+        match self.memos[level].entries[id as usize] {
+            Stored::Table { off, len } => LevelEntry(Layout::Table {
+                values: &self.table_values[off..off + len],
+                cums: &self.table_cums[off..off + len],
+            }),
+            Stored::Uniform { start, step, len, each } => {
+                LevelEntry(Layout::Uniform { start, step, len, each })
             }
         }
     }
 
     /// The feasible-domain entry of the loop level at step `i` under the
-    /// bound prefix in `slots`: answered from the footprint cache when the
-    /// footprint values match a previous subtree, computed (and cached)
-    /// otherwise.
-    fn entry_at(
-        &mut self,
-        i: usize,
-        slots: &mut Vec<i64>,
-    ) -> Result<Arc<LevelEntry>, EvalError> {
-        let fp = Arc::clone(&self.footprints[i]);
-        let key: (usize, Box<[i64]>) =
-            (i, fp.iter().map(|&s| slots[s as usize]).collect());
-        if let Some(e) = self.memo.get(&key) {
+    /// bound prefix in `slots`, as its total and its id in the level's memo:
+    /// answered from the footprint cache when the footprint values match a
+    /// previous subtree, computed (and cached) otherwise. The id is `None`
+    /// when a budget limit stopped the analysis and the entry was not kept.
+    fn entry_at(&mut self, i: usize, slots: &mut [i64]) -> Result<(u128, Option<u32>), EvalError> {
+        // The probe key goes to the tail of the level's key slab, where a
+        // miss leaves it as the new entry's key. Nothing below this level
+        // touches its memo, so the tail is still the key after recursion.
+        let level = self.level_of[i];
+        let memo = &mut self.memos[level];
+        let key_at = memo.keys.len();
+        memo.keys.extend(self.footprints[i].iter().map(|&s| slots[s as usize]));
+        if let Some(id) = memo.find(key_at) {
+            memo.keys.truncate(key_at);
             self.stats.cache_hits += 1;
-            return Ok(Arc::clone(e));
+            return Ok((self.entry(level, id).total(), Some(id)));
         }
         self.stats.cache_misses += 1;
 
+        let mut table = std::mem::take(&mut self.scratch[level]);
+        table.clear();
+        let fresh = match self.compute_entry(i, slots, &mut table) {
+            Ok(fresh) => fresh,
+            Err(e) => {
+                self.memos[level].keys.truncate(key_at);
+                self.scratch[level] = table;
+                return Err(e);
+            }
+        };
+        let (stored, feasible, total) = match fresh.uniform {
+            Some((start, step, each)) => {
+                let len = fresh.domain_len;
+                (Stored::Uniform { start, step, len, each }, len, each.saturating_mul(len as u128))
+            }
+            None => (
+                Stored::Table { off: self.table_values.len(), len: table.len() },
+                table.len(),
+                table.last().map_or(0, |&(_, c)| c),
+            ),
+        };
+
+        let mut id = None;
+        if !self.aborted {
+            let lvl = &mut self.stats.levels[level];
+            lvl.entries += 1;
+            lvl.domain_values += fresh.domain_len as u64;
+            lvl.feasible_values += feasible as u64;
+            lvl.residue_skipped += fresh.residue_skipped;
+            if self.memo_entries < self.budget.max_memo_entries.min(EMPTY as usize) {
+                if let Stored::Table { .. } = stored {
+                    self.table_values.extend(table.iter().map(|&(v, _)| v));
+                    self.table_cums.extend(table.iter().map(|&(_, c)| c));
+                }
+                self.memo_entries += 1;
+                id = Some(self.memos[level].insert(stored));
+            } else {
+                self.aborted = true;
+            }
+        }
+        if id.is_none() {
+            self.memos[level].keys.truncate(key_at);
+        }
+        self.scratch[level] = table;
+        Ok((total, id))
+    }
+
+    /// Compute the entry of the loop level at step `i` (a cache miss): a
+    /// uniform level as its parameters, any other level as its feasible
+    /// values with cumulative counts, pushed to `table`.
+    fn compute_entry(
+        &mut self,
+        i: usize,
+        slots: &mut [i64],
+        table: &mut Vec<(i64, u128)>,
+    ) -> Result<Fresh, EvalError> {
         let lp = self.lp;
         let space = lp.plan.space();
         let LStep::Bind { slot, iter, domain, .. } = &lp.steps[i] else {
@@ -524,13 +801,11 @@ impl<'a> Counter<'a> {
             }
         };
         let len = realized.len();
-        let level = self.level_of[&i];
+        let mut fresh = Fresh { domain_len: len, residue_skipped: 0, uniform: None };
 
         // Abstract pre-pass over the level's run, with the loop variable
         // abstracted to its whole realized domain. A decided rejection
         // proves the level empty outright.
-        let mut entry = LevelEntry::default();
-        let mut residue_skipped = 0u64;
         let dom = domain_product(&realized)?;
         let whole_rejected = !self.ignore_checks
             && len > 0
@@ -541,7 +816,8 @@ impl<'a> Counter<'a> {
         // Uniform-level shortcut: when nothing after this bind reads the
         // bound slot (checks included — in tuple mode they are excluded
         // from footprints because they never run), every value has the
-        // same subtree count: recurse once and replicate.
+        // same subtree count: recurse once and replicate. A range level
+        // keeps only its parameters.
         let uniform =
             len > 0 && self.footprints[i + 1].binary_search(&slot).is_err();
         if whole_rejected {
@@ -554,12 +830,16 @@ impl<'a> Counter<'a> {
                 slots[slot as usize] = realized.nth_value(0).expect("len > 0").as_int()?;
                 let c = self.count_from(i + 1, slots)?;
                 if c > 0 {
-                    let mut cum = 0u128;
-                    entry.values.reserve(len);
-                    for k in 0..len {
-                        let v = realized.nth_value(k).expect("index in range").as_int()?;
-                        cum = cum.saturating_add(c);
-                        entry.values.push((v, cum));
+                    if let Realized::Range { start, step, .. } = realized {
+                        fresh.uniform = Some((start, step, c));
+                    } else {
+                        let mut cum = 0u128;
+                        table.reserve(len);
+                        for k in 0..len {
+                            let v = realized.nth_value(k).expect("index in range").as_int()?;
+                            cum = cum.saturating_add(c);
+                            table.push((v, cum));
+                        }
                     }
                 }
             }
@@ -577,7 +857,7 @@ impl<'a> Counter<'a> {
                 let v = realized.nth_value(k).expect("index in range").as_int()?;
                 if let Some((m, rej)) = &rejected_classes {
                     if rej.contains(&v.rem_euclid(*m)) {
-                        residue_skipped += 1;
+                        fresh.residue_skipped += 1;
                         continue;
                     }
                 }
@@ -590,25 +870,11 @@ impl<'a> Counter<'a> {
                 let c = self.count_from(i + 1, slots)?;
                 if c > 0 {
                     cum = cum.saturating_add(c);
-                    entry.values.push((v, cum));
+                    table.push((v, cum));
                 }
             }
         }
-
-        let entry = Arc::new(entry);
-        if !self.aborted {
-            let lvl = &mut self.stats.levels[level];
-            lvl.entries += 1;
-            lvl.domain_values += len as u64;
-            lvl.feasible_values += entry.len() as u64;
-            lvl.residue_skipped += residue_skipped;
-            if self.memo.len() < self.budget.max_memo_entries {
-                self.memo.insert(key, Arc::clone(&entry));
-            } else {
-                self.aborted = true;
-            }
-        }
-        Ok(entry)
+        Ok(fresh)
     }
 
     /// Evaluate the level's straight-line run (defines and checks up to the
@@ -996,7 +1262,7 @@ mod tests {
 
     #[test]
     fn level_entry_pick_is_a_weighted_inverse() {
-        let entry = LevelEntry { values: vec![(10, 2), (20, 3), (40, 7)] };
+        let entry = LevelEntry(Layout::Table { values: &[10, 20, 40], cums: &[2, 3, 7] });
         assert_eq!(entry.total(), 7);
         assert_eq!(entry.count_at(0), 2);
         assert_eq!(entry.count_at(1), 1);
@@ -1008,6 +1274,131 @@ mod tests {
         );
         assert_eq!(entry.position_of(20), Some(1));
         assert_eq!(entry.position_of(30), None);
+    }
+
+    /// Every query of `entry` at every position agrees with the same level
+    /// materialized as a cumulative table.
+    fn assert_matches_materialized(start: i64, step: i64, len: usize, each: u128) {
+        let entry = LevelEntry(Layout::Uniform { start, step, len, each });
+        let values: Vec<i64> =
+            (0..len).map(|k| start.wrapping_add((k as i64).wrapping_mul(step))).collect();
+        let mut cum = 0u128;
+        let cums: Vec<u128> = (0..len)
+            .map(|_| {
+                cum = cum.saturating_add(each);
+                cum
+            })
+            .collect();
+        let table = LevelEntry(Layout::Table { values: &values, cums: &cums });
+        assert_eq!(entry.total(), table.total());
+        assert_eq!(entry.len(), table.len());
+        for k in 0..len {
+            assert_eq!(entry.value_at(k), table.value_at(k), "value_at({k})");
+            assert_eq!(entry.count_at(k), table.count_at(k), "count_at({k})");
+            for v in [values[k], values[k] + 1, values[k] - 1] {
+                assert_eq!(entry.position_of(v), table.position_of(v), "position_of({v})");
+            }
+            // Both ends of the value's bracket of survivor indices.
+            let lo = if k == 0 { 0 } else { cums[k - 1] };
+            for idx in [lo, cums[k].wrapping_sub(1)] {
+                if idx >= lo && idx < table.total() {
+                    assert_eq!(entry.pick(idx), table.pick(idx), "pick({idx})");
+                }
+            }
+        }
+        for v in [start.wrapping_sub(step), start.wrapping_add(step.wrapping_mul(len as i64))] {
+            assert_eq!(entry.position_of(v), table.position_of(v), "position_of({v})");
+        }
+        if table.total() < 1000 {
+            for idx in 0..table.total() {
+                assert_eq!(entry.pick(idx), table.pick(idx), "pick({idx})");
+            }
+        }
+    }
+
+    #[test]
+    fn compact_uniform_entries_agree_with_their_tables() {
+        assert_matches_materialized(3, 5, 7, 4);
+        // Counting down.
+        assert_matches_materialized(40, -3, 9, 6);
+        // Cumulative counts saturate from the third value on.
+        assert_matches_materialized(-10, -2, 6, u128::MAX / 3 + 1);
+    }
+
+    #[test]
+    fn uniform_range_levels_are_stored_compactly() {
+        // Nothing reads `b`, so its level is uniform and stays a range.
+        let space = Space::builder("count_uniform")
+            .range("a", 0, 4)
+            .range_step("b", 100, 0, -5)
+            .build()
+            .unwrap();
+        let lp = lower(&space);
+        let mut counter = Counter::new(&lp);
+        assert_eq!(counter.total().unwrap(), Some(4 * 20));
+        assert!(counter.table_values.len() <= 4, "b's values were materialized");
+        let mut slots = vec![0i64; lp.n_slots as usize];
+        slots[0] = 2;
+        let Some(DescentStep::Level { entry, .. }) = counter.descend(1, &mut slots).unwrap()
+        else {
+            panic!("expected b's level")
+        };
+        assert!(matches!(entry.0, Layout::Uniform { start: 100, step: -5, len: 20, each: 1 }));
+        assert!(counter.memo_bytes() > 0);
+    }
+
+    #[test]
+    fn tuple_mode_still_raises_errors_of_fallible_dead_defines() {
+        // `q` is read only by a check, so it is dead in tuple mode, but it
+        // may divide by zero: it keeps running and the error surfaces,
+        // although the `y == 0` check would have pruned that tuple.
+        let space = Space::builder("count_dead_div")
+            .range("x", 0, 5)
+            .range("y", 0, 4)
+            .constraint("y_zero", ConstraintClass::Hard, var("y").eq(0))
+            .derived("q", var("x") / var("y"))
+            .constraint("q_big", ConstraintClass::Hard, var("q").gt(3))
+            .build()
+            .unwrap();
+        let lp = lower(&space);
+        assert!(!Counter::tuples(&lp).dead.iter().any(|&d| d));
+        assert!(matches!(Counter::tuples(&lp).total(), Err(EvalError::DivisionByZero)));
+    }
+
+    #[test]
+    fn dead_infallible_defines_are_skipped_without_changing_the_count() {
+        let space = Space::builder("count_dead")
+            .range("x", 0, 6)
+            // `hi` bounds a later domain: live.
+            .derived("hi", var("x") + 2)
+            // `a2` is only read by `b2`, but `b2` reads it from outside
+            // y's level, so it is part of y's memo key: live.
+            .derived("a2", var("x") * 2)
+            .range("y", 0, var("hi"))
+            // `b2` is only read by a check: dead in tuple mode.
+            .derived("b2", var("a2") + var("y"))
+            .constraint("cap", ConstraintClass::Hard, var("b2").gt(7))
+            .build()
+            .unwrap();
+        let lp = lower(&space);
+        let dead_names = |c: &Counter<'_>| -> Vec<String> {
+            lp.steps
+                .iter()
+                .zip(&c.dead)
+                .filter(|(_, &d)| d)
+                .map(|(s, _)| match s {
+                    LStep::Define { slot, .. } => lp.slot_names[*slot as usize].to_string(),
+                    _ => panic!("only defines can be dead"),
+                })
+                .collect()
+        };
+        let mut tuples = Counter::tuples(&lp);
+        assert_eq!(dead_names(&tuples), vec!["b2".to_string()]);
+        // Σ_{x<6} (x + 2) tuples, as without the skip.
+        assert_eq!(tuples.total().unwrap(), Some(2 + 3 + 4 + 5 + 6 + 7));
+        let mut survivors = Counter::new(&lp);
+        assert!(dead_names(&survivors).is_empty());
+        assert_eq!(survivors.total().unwrap(), Some(brute_force(&lp)));
     }
 
     #[test]

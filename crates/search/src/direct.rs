@@ -87,7 +87,7 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
         let mut slots = vec![0i64; self.lp.n_slots as usize];
         let mut i = 0usize;
         loop {
-            match self.step(i, &mut slots)? {
+            match step(&mut self.counter, i, &mut slots)? {
                 DescentStep::Done => {
                     let values = slots.iter().map(|&v| v.into()).collect();
                     return Ok(Point::new(Arc::clone(&self.names), values));
@@ -146,7 +146,7 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
         let mut slots = vec![0i64; self.lp.n_slots as usize];
         let mut i = 0usize;
         loop {
-            match self.step(i, &mut slots)? {
+            match step(&mut self.counter, i, &mut slots)? {
                 DescentStep::Done => {
                     let values = slots.iter().map(|&v| v.into()).collect();
                     return Ok(Some(Point::new(Arc::clone(&self.names), values)));
@@ -189,16 +189,21 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
             }
         }
     }
+}
 
-    /// Advance the concrete walk to the next loop level via the counter's
-    /// cache. After the eager count in [`DirectSampler::new`], the counter
-    /// can no longer abort — map that impossible state to an error instead
-    /// of panicking.
-    fn step(&mut self, i: usize, slots: &mut Vec<i64>) -> Result<DescentStep, EvalError> {
-        self.counter.descend(i, slots)?.ok_or_else(|| {
-            EvalError::Custom("direct sampler: counting budget exhausted mid-descent".into())
-        })
-    }
+/// Advance the concrete walk to the next loop level via the counter's
+/// cache; the level's entry is a view borrowed from the counter's memo.
+/// After the eager count in [`DirectSampler::new`], the counter can no
+/// longer abort — map that impossible state to an error instead of
+/// panicking.
+fn step<'c>(
+    counter: &'c mut Counter<'_>,
+    i: usize,
+    slots: &mut [i64],
+) -> Result<DescentStep<'c>, EvalError> {
+    counter.descend(i, slots)?.ok_or_else(|| {
+        EvalError::Custom("direct sampler: counting budget exhausted mid-descent".into())
+    })
 }
 
 /// Uniform draw in `[0, bound)`. Bounds above `u64::MAX` combine two raw

@@ -168,6 +168,25 @@ fn random_spaces_tuple_count_equals_unconstrained_enumeration() {
     }
 }
 
+/// The tuple counter's work on dnn reduced(24) and reduced(32), pinned
+/// exactly: the count, its cache traffic and the point where the default
+/// budget gives up. `repro count` and the benchmark's reference counts
+/// (`tuples: null` from DIM 32 on) rely on that abort point.
+#[test]
+fn gemm_tuple_count_stats_are_pinned() {
+    let lp = lower(&build_gemm_space(&GemmSpaceParams::reduced(24)).unwrap());
+    let mut tuples = Counter::tuples(&lp);
+    assert_eq!(tuples.total().unwrap(), Some(165_294_930_944));
+    let s = tuples.stats();
+    assert_eq!((s.cache_hits, s.cache_misses, s.enumerated), (338_064, 307_057, 645_144));
+
+    let lp = lower(&build_gemm_space(&GemmSpaceParams::reduced(32)).unwrap());
+    let mut tuples = Counter::tuples(&lp);
+    assert_eq!(tuples.total().unwrap(), None);
+    assert!(tuples.aborted());
+    assert_eq!(tuples.stats().cache_misses, 500_006);
+}
+
 /// An exhausted budget reports `None`, never a wrong number.
 #[test]
 fn budget_exhaustion_is_explicit() {
