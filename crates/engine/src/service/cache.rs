@@ -38,10 +38,12 @@
 //! The on-disk store reuses the checkpoint machinery from
 //! [`crate::checkpoint`]: the same hand-rolled [`JsonValue`] parser, the
 //! same exact-integer stats/blocks encoding, the same atomic
-//! `.tmp`-then-rename write protocol.
+//! `.tmp`-then-rename write protocol. A write happens only when entries were
+//! stored since the last one, and writes are serialized, so concurrent
+//! persists never share the `.tmp` file.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -108,6 +110,9 @@ pub struct SweepCache<V> {
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
+    /// `stores` as of the last successful write. Held across the whole
+    /// write, which serializes concurrent persists.
+    persisted: Mutex<u64>,
 }
 
 impl<V: Visitor + SaveState + Clone> SweepCache<V> {
@@ -119,6 +124,7 @@ impl<V: Visitor + SaveState + Clone> SweepCache<V> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
+            persisted: Mutex::new(0),
         }
     }
 
@@ -176,16 +182,19 @@ impl<V: Visitor + SaveState + Clone> SweepCache<V> {
     }
 
     /// Atomically write all entries to the path given at construction
-    /// (no-op for purely in-memory caches).
+    /// (checkpoint-style `.tmp`-then-rename, so a crash mid-write preserves
+    /// the old file). A no-op for purely in-memory caches, and when no entry
+    /// was stored since the last successful write: hits leave the file
+    /// alone.
     pub fn persist(&self) -> Result<(), String> {
         let Some(path) = &self.path else { return Ok(()) };
-        self.persist_to(path)
-    }
-
-    /// Atomically write all entries to `path` (checkpoint-style
-    /// `.tmp`-then-rename, so a crash mid-write preserves the old file).
-    pub fn persist_to(&self, path: &Path) -> Result<(), String> {
+        let mut persisted = self.persisted.lock().unwrap();
         let entries = self.entries.lock().unwrap();
+        // Stores count under the entries lock, so this matches the snapshot.
+        let stores = self.stores.load(Ordering::Relaxed);
+        if stores == *persisted {
+            return Ok(());
+        }
         let mut keys: Vec<&String> = entries.keys().collect();
         keys.sort(); // stable output → diffable files, deterministic tests
         let mut out = String::with_capacity(256 + entries.len() * 160);
@@ -212,8 +221,11 @@ impl<V: Visitor + SaveState + Clone> SweepCache<V> {
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
         std::fs::write(&tmp, &out).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("cannot rename {} over {}: {e}", tmp.display(), path.display()))
+        std::fs::rename(&tmp, path).map_err(|e| {
+            format!("cannot rename {} over {}: {e}", tmp.display(), path.display())
+        })?;
+        *persisted = stores;
+        Ok(())
     }
 
     /// Lifetime counters plus the current entry count.
@@ -447,6 +459,48 @@ mod tests {
         assert_eq!(rep.cache_hits, 8);
         assert_eq!(warm.visitor, cold.visitor);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_persists_succeed_and_keep_every_stored_key() {
+        let dir = std::env::temp_dir().join("beast-cache-unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("concurrent.json");
+        std::fs::remove_file(&path).ok();
+
+        let (outcome, _) =
+            run_parallel_report(&lowered(300), &opts(), FingerprintVisitor::new).unwrap();
+        let cache = SweepCache::with_path(&path, &FingerprintVisitor::new).unwrap();
+        let memo = cache.scoped(7, "unit");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for v in 0..200 {
+                    memo.store(0, &[v], &outcome);
+                }
+            });
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..25 {
+                        assert_eq!(cache.persist(), Ok(()));
+                    }
+                });
+            }
+        });
+        cache.persist().unwrap();
+
+        let keys = |c: &SweepCache<FingerprintVisitor>| {
+            let mut keys: Vec<String> = c.entries.lock().unwrap().keys().cloned().collect();
+            keys.sort();
+            keys
+        };
+        let reloaded = SweepCache::with_path(&path, &FingerprintVisitor::new).unwrap();
+        assert_eq!(reloaded.stats().entries, 200);
+        assert_eq!(keys(&reloaded), keys(&cache));
+
+        // Nothing stored since the last write: persisting leaves no file.
+        std::fs::remove_file(&path).unwrap();
+        cache.persist().unwrap();
+        assert!(!path.exists(), "an unchanged cache must not be rewritten");
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod cache;
 pub mod http;
 
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -83,7 +83,8 @@ pub struct ServiceConfig {
     /// `DESIGN.md` §8 for why the key tolerates grid changes anyway.
     pub chunk_count: usize,
     /// Optional on-disk store for the sub-sweep cache; persisted after
-    /// every completed job and at shutdown.
+    /// every completed job and at shutdown, but only when the cache gained
+    /// entries since the last write.
     pub cache_path: Option<PathBuf>,
 }
 
@@ -203,6 +204,8 @@ impl Job {
 /// Everything the listener, connection handlers and executors share.
 struct ServerState {
     cfg: ServiceConfig,
+    /// The realized bind address, which `request_shutdown` connects to.
+    addr: SocketAddr,
     resolver: SpaceResolver,
     cache: SweepCache<FingerprintVisitor>,
     jobs: Mutex<HashMap<u64, Arc<Job>>>,
@@ -248,13 +251,11 @@ impl SweepService {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("cannot read bound address: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set nonblocking: {e}"))?;
 
         let executors = cfg.executors.max(1);
         let state = Arc::new(ServerState {
             cfg,
+            addr,
             resolver,
             cache,
             jobs: Mutex::new(HashMap::new()),
@@ -295,13 +296,12 @@ impl SweepService {
 
     /// Request a graceful stop, exactly like `POST /shutdown`.
     pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.state.queue_cv.notify_all();
+        request_shutdown(&self.state);
     }
 
     /// Block until every daemon thread has exited (after a shutdown was
     /// requested via [`SweepService::shutdown`] or `POST /shutdown`), then
-    /// persist the cache one final time.
+    /// persist the cache one final time if it changed since the last write.
     pub fn wait(mut self) -> Result<(), String> {
         if let Some(listener) = self.listener.take() {
             listener.join().map_err(|_| "listener thread panicked".to_string())?;
@@ -313,27 +313,51 @@ impl SweepService {
     }
 }
 
-/// Accept loop: poll the nonblocking listener, hand each connection to a
-/// short-lived handler thread, exit when shutdown is flagged.
+/// Flag the shutdown and wake every thread blocked on it: executors wait
+/// on `queue_cv`, the listener in `accept`, which only a connection ends.
+fn request_shutdown(state: &ServerState) {
+    {
+        // Set under the queue lock, so an executor between its flag check
+        // and `wait`, or a submission about to enqueue, cannot miss it.
+        let _queue = state.queue.lock().unwrap();
+        state.shutdown.store(true, Ordering::SeqCst);
+    }
+    state.queue_cv.notify_all();
+    let mut wake = state.addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    // Refused once the listener is gone (a repeated shutdown): harmless.
+    let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+}
+
+/// Accept loop: block in `accept`, hand each connection to a short-lived
+/// handler thread, exit on the first connection after shutdown is flagged
+/// (the self-connect of `request_shutdown`).
 fn listener_loop(listener: TcpListener, state: &Arc<ServerState>) {
-    while !state.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for conn in listener.incoming() {
+        if state.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match conn {
+            Ok(stream) => {
                 let state = Arc::clone(state);
                 let _ = std::thread::Builder::new()
                     .name("sweep-conn".to_string())
                     .spawn(move || handle_connection(stream, &state));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // A real accept error such as EMFILE: back off, do not spin.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
 
 /// Executor loop: pull job ids off the queue, run each sweep through the
-/// cache, publish the result, persist the cache.
+/// cache, publish the result, persist the cache. Queued jobs are drained
+/// before a shutdown ends the loop.
 fn executor_loop(state: &Arc<ServerState>) {
     loop {
         let id = {
@@ -345,11 +369,7 @@ fn executor_loop(state: &Arc<ServerState>) {
                 if state.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (q, _timeout) = state
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap();
-                queue = q;
+                queue = state.queue_cv.wait(queue).unwrap();
             }
         };
         let Some(id) = id else { return };
@@ -408,11 +428,6 @@ fn run_job(state: &ServerState, job: &Job) {
 
 /// Serve one connection: read a single request, dispatch, close.
 fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
-    // Accepted sockets inherit O_NONBLOCK from the listener on some
-    // platforms; request parsing needs blocking reads.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
     // Socket timeouts in both directions, so a silent or undraining client
     // cannot pin this handler thread indefinitely.
     if crate::service::http::configure_stream(&stream).is_err() {
@@ -483,8 +498,7 @@ fn dispatch(
         }
         ("POST", ["shutdown"]) => {
             let reply = write_json(stream, 200, "{\"ok\":true,\"shutting_down\":true}");
-            state.shutdown.store(true, Ordering::SeqCst);
-            state.queue_cv.notify_all();
+            request_shutdown(state);
             reply.map_err(io)
         }
         ("GET" | "POST", _) => {
@@ -508,9 +522,6 @@ fn submit(
     state: &Arc<ServerState>,
 ) -> Result<(), String> {
     let io = |e: std::io::Error| format!("write response: {e}");
-    if state.shutdown.load(Ordering::SeqCst) {
-        return write_error(stream, 503, "service is shutting down").map_err(io);
-    }
     let body = match request.body_str() {
         Ok(body) => body,
         Err(e) => return write_error(stream, 400, &e).map_err(io),
@@ -537,8 +548,17 @@ fn submit(
         state: Mutex::new(JobState::Queued),
         state_cv: Condvar::new(),
     });
-    state.jobs.lock().unwrap().insert(id, Arc::clone(&job));
-    state.queue.lock().unwrap().push_back(id);
+    {
+        let mut queue = state.queue.lock().unwrap();
+        // Checked under the lock the flag is set under: a job enqueued here
+        // is drained by an executor before the executor exits.
+        if state.shutdown.load(Ordering::SeqCst) {
+            drop(queue);
+            return write_error(stream, 503, "service is shutting down").map_err(io);
+        }
+        state.jobs.lock().unwrap().insert(id, Arc::clone(&job));
+        queue.push_back(id);
+    }
     state.queue_cv.notify_one();
 
     if wait {
@@ -549,16 +569,17 @@ fn submit(
 }
 
 /// `GET /sweeps/{id}/progress`: chunked JSON lines at ~25 ms cadence while
-/// the job runs, then one terminal line with the full result.
+/// the job runs, then one terminal line with the full result as soon as
+/// the job ends.
 fn stream_progress(stream: &mut TcpStream, job: &Job) -> Result<(), String> {
     let io = |e: std::io::Error| format!("stream progress: {e}");
     let mut writer = ChunkedWriter::begin(stream, 200, "application/json").map_err(io)?;
-    loop {
-        if job.state.lock().unwrap().is_terminal() {
-            break;
-        }
+    while !job.state.lock().unwrap().is_terminal() {
         writer.chunk(&job.progress_line()).map_err(io)?;
-        std::thread::sleep(Duration::from_millis(25));
+        let state = job.state.lock().unwrap();
+        if !state.is_terminal() {
+            let _ = job.state_cv.wait_timeout(state, Duration::from_millis(25)).unwrap();
+        }
     }
     let mut terminal = job.to_json();
     terminal.push('\n');

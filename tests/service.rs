@@ -15,10 +15,16 @@
 //! - concurrent HTTP clients racing the same sweep → all get the cold
 //!   fingerprint;
 //! - the chunked progress stream terminates with the full result.
+//!
+//! It also pins the daemon's event-driven request path: a round trip is
+//! not paced by a poll interval, shutdown wakes a blocked listener, and
+//! cache hits do not rewrite the cache file.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::Path;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use beast_engine::checkpoint::JsonValue;
 use beast_engine::parallel::{run_parallel_report, ParallelOptions};
@@ -151,20 +157,27 @@ fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
 }
 
 fn start_service() -> (SweepService, String) {
-    let cfg = ServiceConfig {
+    start_service_with(ServiceConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
         executors: 2,
         chunk_count: CHUNKS,
         cache_path: None,
-    };
+    })
+}
+
+fn start_service_with(cfg: ServiceConfig) -> (SweepService, String) {
     let service = SweepService::start(cfg, gemm_resolver()).unwrap();
     let addr = service.addr().to_string();
     (service, addr)
 }
 
 fn submit_wait(addr: &str, dim: i64) -> JsonValue {
-    let body = format!("{{\"space\":{{\"kind\":\"gemm\",\"reduced\":{dim}}},\"wait\":true}}");
+    submit_space_wait(addr, &format!("{{\"kind\":\"gemm\",\"reduced\":{dim}}}"))
+}
+
+fn submit_space_wait(addr: &str, space: &str) -> JsonValue {
+    let body = format!("{{\"space\":{space},\"wait\":true}}");
     let (status, body) = http(addr, "POST", "/sweeps", &body);
     assert_eq!(status, 200, "{body}");
     let doc = JsonValue::parse(&body).unwrap();
@@ -274,4 +287,95 @@ fn progress_stream_terminates_with_the_full_result() {
 
     service.shutdown();
     service.wait().unwrap();
+}
+
+#[test]
+fn healthz_round_trip_is_not_paced_by_a_poll_interval() {
+    let (service, addr) = start_service();
+    let mut rtts: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t0 = Instant::now();
+            let (status, _) = http(&addr, "GET", "/healthz", "");
+            assert_eq!(status, 200);
+            t0.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(median < Duration::from_millis(5), "median /healthz round trip {median:?}");
+    service.shutdown();
+    service.wait().unwrap();
+}
+
+#[test]
+fn idle_daemon_on_the_unspecified_address_stops_promptly() {
+    let (service, _) = start_service_with(ServiceConfig {
+        addr: "0.0.0.0:0".to_string(),
+        threads: 1,
+        executors: 2,
+        chunk_count: CHUNKS,
+        cache_path: None,
+    });
+    let t0 = Instant::now();
+    service.shutdown();
+    service.wait().unwrap();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown plus wait took {took:?}");
+}
+
+/// Wait (bounded) until `path` exists: the executor persists after it
+/// publishes the result, so the file may trail the response.
+fn await_file(path: &Path) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !path.exists() {
+        assert!(Instant::now() < deadline, "{} was never written", path.display());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn cache_hits_do_not_rewrite_the_cache_file() {
+    let dir = std::env::temp_dir().join(format!("beast-service-persist-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cache.json");
+    std::fs::remove_file(&path).ok();
+    // One executor runs jobs in submission order, so a job starting proves
+    // the previous job, its persist included, has finished.
+    let (service, addr) = start_service_with(ServiceConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+        executors: 1,
+        chunk_count: CHUNKS,
+        cache_path: Some(path.clone()),
+    });
+
+    let cold = submit_wait(&addr, 16);
+    assert_eq!(hits_of(&cold).0, 0);
+    await_file(&path);
+    std::fs::remove_file(&path).unwrap();
+
+    // The second warm job only starts once the first one's persist is done.
+    for _ in 0..2 {
+        let warm = submit_wait(&addr, 16);
+        assert_eq!(hits_of(&warm).1, 0, "resubmission must be served from cache");
+    }
+    assert!(!path.exists(), "a warm hit rewrote the cache file");
+
+    // A cold job of a new space stores entries, so the file comes back with
+    // both spaces in it.
+    let other = submit_space_wait(
+        &addr,
+        "{\"kind\":\"gemm\",\"reduced\":16,\"precision\":\"double\",\"transpose\":\"nt\"}",
+    );
+    assert_eq!(hits_of(&other).0, 0, "a new space must miss");
+    await_file(&path);
+    let (_, stats) = http(&addr, "GET", "/cache/stats", "");
+    let entries = JsonValue::parse(&stats).unwrap().get("entries").and_then(JsonValue::as_u64);
+    service.shutdown();
+    service.wait().unwrap();
+
+    let reloaded: SweepCache<FingerprintVisitor> =
+        SweepCache::with_path(&path, &FingerprintVisitor::new).unwrap();
+    assert_eq!(Some(reloaded.stats().entries as u64), entries);
+    std::fs::remove_dir_all(&dir).ok();
 }
